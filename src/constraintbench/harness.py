@@ -11,6 +11,7 @@ from __future__ import annotations
 import json
 import logging
 import os
+import queue
 import shutil
 import signal
 import subprocess
@@ -246,6 +247,7 @@ def build_phase(
     provider: PatchProvider,
     trial: int = 0,
     config: HarnessConfig | None = None,
+    port: int | None = None,
 ) -> BuildResult:
     """Produce the diff for one (task, trial): replay a recorded file, or run
     the provider command in a prepared workspace and capture its changes."""
@@ -263,7 +265,7 @@ def build_phase(
             token_usage=token_usage,
         )
 
-    workspace = _make_workspace(task, port=config.port_pool[0], config=config)
+    workspace = _make_workspace(task, port=port or config.port_pool[0], config=config)
     try:
         (workspace.meta / "task.json").write_text(task.to_json(), encoding="utf-8")
         (workspace.meta / "prompt.txt").write_text(task.prompt, encoding="utf-8")
@@ -284,23 +286,40 @@ def build_phase(
         workspace.destroy()
 
 
-def _terminate(process: subprocess.Popen, grace: float):
-    if process.poll() is not None:
-        return
+def _group_alive(process: subprocess.Popen) -> bool:
+    """True while any process of run.sh's process group is left.
+
+    ``run.sh`` is reaped first, so it does not count once it has exited; a
+    server it put in the background keeps the group alive without it.
+    """
+    process.poll()
     try:
-        os.killpg(process.pid, signal.SIGTERM)
-    except (ProcessLookupError, PermissionError):
-        return
-    deadline = time.monotonic() + grace
-    while time.monotonic() < deadline:
-        if process.poll() is not None:
-            return
-        time.sleep(0.05)
+        os.killpg(process.pid, 0)
+    except ProcessLookupError:
+        return False
+    except PermissionError:
+        return True
+    return True
+
+
+def _signal_group(process: subprocess.Popen, signum: int):
     try:
-        os.killpg(process.pid, signal.SIGKILL)
+        os.killpg(process.pid, signum)
     except (ProcessLookupError, PermissionError):
         pass
-    process.wait()
+
+
+def _terminate(process: subprocess.Popen, grace: float):
+    """SIGTERM the whole group, give run.sh ``grace`` seconds to exit, then
+    SIGKILL whatever is left, including children that outlived run.sh."""
+    _signal_group(process, signal.SIGTERM)
+    try:
+        process.wait(timeout=grace)
+    except subprocess.TimeoutExpired:
+        pass
+    if _group_alive(process):
+        _signal_group(process, signal.SIGKILL)
+        process.wait()
 
 
 def evaluate_phase(
@@ -403,7 +422,13 @@ def evaluate_phase(
                     interval=config.health_interval,
                     max_attempts=config.health_max_attempts,
                     total_timeout=config.health_total_timeout,
+                    alive=lambda: _group_alive(process),
                 )
+                if not record.health_ok and not _group_alive(process):
+                    log_parts.append(
+                        f"server exited with code {process.returncode} "
+                        "before answering health-check"
+                    )
                 if record.health_ok:
                     record.suite = run_suite(
                         collection, base_url, request_timeout=config.request_timeout
@@ -441,7 +466,7 @@ def run_one(
 ) -> RunRecord:
     """build_phase + evaluate_phase with per-run error containment."""
     try:
-        build = build_phase(task, provider, trial=trial, config=config)
+        build = build_phase(task, provider, trial=trial, config=config, port=port)
     except TaskSetupError as exc:
         record = RunRecord(
             task_id=task.id,
@@ -493,10 +518,14 @@ def run_campaign(
     config = config or HarnessConfig.from_env()
     jobs = [(task, trial) for task in tasks for trial in range(trials)]
     records: list[RunRecord | None] = [None] * len(jobs)
+    # each run leases a port for its whole duration, so no two runs share one
+    ports: queue.Queue[int] = queue.Queue()
+    for port in config.port_pool:
+        ports.put(port)
 
     def execute(index: int) -> None:
         task, trial = jobs[index]
-        port = config.port_pool[index % len(config.port_pool)]
+        port = ports.get()
         try:
             records[index] = run_one(
                 task, provider, collection, trial, config, labels=labels, port=port
@@ -517,9 +546,9 @@ def run_campaign(
                 task_summary=_task_summary(task),
                 labels=dict(labels or {}),
             )
+        finally:
+            ports.put(port)
 
-    # concurrent jobs are a window of consecutive indices, so distinct ports
-    # are guaranteed as long as the window is no wider than the pool
     workers = min(config.workers, len(config.port_pool))
     if workers > 1:
         with ThreadPoolExecutor(max_workers=workers) as pool:

@@ -17,6 +17,7 @@ import re
 import time
 import urllib.error
 import urllib.request
+from collections.abc import Callable
 from dataclasses import dataclass, field
 
 from .errors import CollectionSchemaError
@@ -27,6 +28,11 @@ _MISSING = object()
 ASSERTION_KINDS = ("property_presence", "type_validation", "status_code", "state_transition")
 TRANSITIONS = ("became", "changed", "unchanged", "increased_by", "decreased_by")
 _HTTP_METHODS = ("GET", "POST", "PUT", "DELETE", "PATCH", "HEAD", "OPTIONS")
+# Between its scheduled probes poll_health re-probes, first after
+# REPROBE_FIRST_S and then at gaps that double up to REPROBE_CAP_S, so a
+# server that comes up just after a failed probe waits no whole interval.
+REPROBE_FIRST_S = 0.01
+REPROBE_CAP_S = 0.05
 
 _TYPE_CHECKS = {
     "string": lambda v: isinstance(v, str),
@@ -473,21 +479,37 @@ def poll_health(
     max_attempts: int = 24,
     total_timeout: float = 120.0,
     request_timeout: float = 5.0,
+    alive: Callable[[], bool] | None = None,
 ) -> bool:
-    """True iff GET {base_url}/health-check answers 200 within both limits."""
+    """True iff GET {base_url}/health-check answers 200 within both limits.
+
+    Scheduled probes run ``interval`` apart, and the wait gives up after
+    the last one that ``max_attempts`` and ``total_timeout`` allow. Extra
+    probes in between do not move that point. ``alive``, when given, is
+    asked before every probe; once it answers False the wait ends with
+    False and no further probe, since whatever answers then is not the
+    server being waited for.
+    """
     if interval <= 0:
         raise ValueError("interval must be positive")
     url = base_url.rstrip("/") + "/health-check"
     start = time.monotonic()
-    for attempt in range(max_attempts):
+    due = start  # when the next scheduled probe is due
+    attempts = 0
+    gap = REPROBE_FIRST_S
+    while attempts < max_attempts and (alive is None or alive()):
         try:
             status, _ = _http_request(url, "GET", {}, None, request_timeout)
             if status == 200:
                 return True
         except (urllib.error.URLError, ConnectionError, TimeoutError, OSError):
             pass
-        elapsed = time.monotonic() - start
-        if attempt + 1 >= max_attempts or elapsed + interval > total_timeout:
-            break
-        time.sleep(interval)
+        now = time.monotonic()
+        if now >= due:
+            attempts += 1
+            if attempts >= max_attempts or now - start + interval > total_timeout:
+                return False
+            due = now + interval
+        time.sleep(min(gap, due - now))
+        gap = min(2 * gap, REPROBE_CAP_S)
     return False

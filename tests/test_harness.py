@@ -1,4 +1,7 @@
 import json
+import socket
+import threading
+import time
 from pathlib import Path
 
 import pytest
@@ -6,6 +9,7 @@ import pytest
 from constraintbench.composer import FRAMEWORKS, ConstraintSet, TaskSpec, task_id
 from constraintbench.errors import TaskSetupError
 from constraintbench.golden import files_to_diff, golden_patch, write_recorded_tree
+from constraintbench import harness
 from constraintbench.harness import (
     HarnessConfig,
     PatchProvider,
@@ -186,6 +190,46 @@ def test_evaluate_crashing_run_script(mini_collection, config, flask_l0):
     assert record.health_ok is False
     assert record.suite.assertions_passed == 0
     assert record.suite.assertions_total == 2
+    assert "server exited with code 7 before answering health-check" in record.logs
+    # the wait ends when run.sh exits, not when the health budget runs out
+    assert record.wall_time < 1.0
+
+
+BACKGROUND_SERVER = '''import json, os
+from http.server import BaseHTTPRequestHandler, HTTPServer
+
+
+class Health(BaseHTTPRequestHandler):
+    def do_GET(self):
+        body = json.dumps({"status": "ok"}).encode()
+        self.send_response(200 if self.path == "/api/health-check" else 404)
+        self.send_header("Content-Type", "application/json")
+        self.send_header("Content-Length", str(len(body)))
+        self.end_headers()
+        self.wfile.write(body)
+
+    def log_message(self, *args):
+        pass
+
+
+HTTPServer(("127.0.0.1", int(os.environ["PORT"])), Health).serve_forever()
+'''
+
+
+def test_evaluate_background_server_scored_and_stopped(mini_collection, config, flask_l0):
+    diff = files_to_diff(
+        {
+            "run.sh": ("#!/bin/sh\npython3 server.py &\n", True),
+            "server.py": (BACKGROUND_SERVER, False),
+        }
+    )
+    record = evaluate_phase(flask_l0, diff, mini_collection, config=config)
+    # run.sh exits 0 at once, but its server is still in the process group
+    assert record.health_ok is True
+    assert record.full_pass is True
+    assert "server exited" not in record.logs
+    with pytest.raises(ConnectionRefusedError):
+        socket.create_connection(("127.0.0.1", config.port_pool[0]), timeout=2).close()
 
 
 def test_evaluate_invalid_diff_recorded_not_crashed(mini_collection, config, flask_l0):
@@ -287,6 +331,33 @@ def test_campaign_survives_missing_recorded_diff(tmp_path, mini_collection, conf
     assert len(records) == 2
     assert all(r.setup_error for r in records)
     assert all(not r.full_pass for r in records)
+
+
+def test_campaign_never_gives_one_port_to_two_runs(monkeypatch, mini_collection, flask_l0):
+    config = HarnessConfig(port_pool=[8141, 8142], workers=2, pg_url=None)
+    lock = threading.Lock()
+    held: set[int] = set()
+    clashes: list[tuple[int, int]] = []
+    used: list[int] = []
+
+    def slow_run_one(task, provider, collection, trial, config, labels=None, port=None):
+        with lock:
+            if port in held:
+                clashes.append((trial, port))
+            held.add(port)
+            used.append(port)
+        # trial 0 holds its port while the other worker goes through the rest
+        time.sleep(0.3 if trial == 0 else 0.02)
+        with lock:
+            held.discard(port)
+        return trial
+
+    monkeypatch.setattr(harness, "run_one", slow_run_one)
+    provider = PatchProvider("recorded_directory", "unused")
+    records = run_campaign([flask_l0], provider, 6, mini_collection, config=config)
+    assert records == list(range(6))
+    assert clashes == []
+    assert set(used) == {8141, 8142}
 
 
 def test_load_campaign_missing_index(tmp_path):

@@ -1,4 +1,5 @@
 import json
+import socket
 import threading
 import time
 
@@ -325,3 +326,69 @@ def test_poll_health_server_starts_late():
 def test_poll_health_interval_must_be_positive():
     with pytest.raises(ValueError):
         poll_health("http://127.0.0.1:1/api", interval=0)
+
+
+def _free_port() -> int:
+    with socket.socket() as probe:
+        probe.bind(("127.0.0.1", 0))
+        return probe.getsockname()[1]
+
+
+def test_poll_health_finds_late_server_between_scheduled_probes():
+    port = _free_port()
+    handles = []
+
+    def delayed_start():
+        time.sleep(0.2)
+        handles.append(ServerHandle(port=port).start())
+
+    thread = threading.Thread(target=delayed_start)
+    start = time.monotonic()
+    thread.start()
+    try:
+        ok = poll_health(
+            f"http://127.0.0.1:{port}/api", interval=2.0, max_attempts=5, total_timeout=10
+        )
+        elapsed = time.monotonic() - start
+    finally:
+        thread.join(timeout=5)
+        for handle in handles:
+            handle.stop()
+    assert ok is True
+    # the next scheduled probe would come at 2 s
+    assert elapsed < 1.0
+
+
+def test_poll_health_alive_keeps_full_give_up_schedule():
+    asked = []
+
+    def alive():
+        asked.append(time.monotonic())
+        return True
+
+    start = time.monotonic()
+    ok = poll_health(
+        "http://127.0.0.1:1/api", interval=0.2, max_attempts=4,
+        total_timeout=10, request_timeout=0.5, alive=alive,
+    )
+    elapsed = time.monotonic() - start
+    assert ok is False
+    assert elapsed >= (4 - 1) * 0.2
+    assert len(asked) > 4  # re-probes ran between the scheduled ones
+
+
+def test_poll_health_stops_soon_after_alive_turns_false():
+    dies_at = time.monotonic() + 0.3
+    ok = poll_health(
+        "http://127.0.0.1:1/api", interval=0.5, max_attempts=20,
+        total_timeout=30, request_timeout=0.5, alive=lambda: time.monotonic() < dies_at,
+    )
+    assert ok is False
+    assert time.monotonic() - dies_at < 0.2
+
+
+def test_poll_health_never_probes_once_not_alive():
+    # whatever answers on the port is not the server being waited for
+    with ServerHandle(port=0) as server:
+        assert poll_health(server.base_url, interval=0.1, max_attempts=3,
+                           alive=lambda: False) is False
