@@ -58,7 +58,6 @@ class FileChange:
 @dataclass
 class PatchDocument:
     files: list[FileChange] = field(default_factory=list)
-    baseline_ref: str | None = None
 
     def file(self, path: str) -> FileChange | None:
         for change in self.files:
@@ -72,7 +71,6 @@ class PatchDocument:
 
     def to_json(self) -> str:
         payload = {
-            "baseline_ref": self.baseline_ref,
             "files": [
                 {
                     "path": f.path,
@@ -96,7 +94,7 @@ class PatchDocument:
             )
             for entry in payload["files"]
         ]
-        return cls(files=files, baseline_ref=payload.get("baseline_ref"))
+        return cls(files=files)
 
 
 @dataclass
@@ -120,7 +118,7 @@ def _unquote(path: str) -> str:
     return path
 
 
-def parse_patch(diff_text: str, baseline_ref: str | None = None) -> PatchDocument:
+def parse_patch(diff_text: str) -> PatchDocument:
     """Parse a git-compatible unified diff into a PatchDocument.
 
     Records each ``+`` hunk line under its file with the post-image line
@@ -202,7 +200,7 @@ def parse_patch(diff_text: str, baseline_ref: str | None = None) -> PatchDocumen
             new_line = int(match.group(3))
             remaining_new = int(match.group(4)) if match.group(4) is not None else 1
 
-    return PatchDocument(files=files, baseline_ref=baseline_ref)
+    return PatchDocument(files=files)
 
 
 def is_excluded_path(path: str) -> bool:

@@ -106,7 +106,7 @@ class BuildResult:
 class RunRecord:
     task_id: str
     trial: int
-    patch: PatchDocument
+    diff: str  # the evaluated diff minus excluded sections; verdicts re-derive from it
     patch_applied: bool
     server_started: bool
     health_ok: bool
@@ -120,6 +120,40 @@ class RunRecord:
     setup_error: bool = False
     task_summary: dict = field(default_factory=dict)
     labels: dict = field(default_factory=dict)
+
+    @classmethod
+    def failed(
+        cls,
+        task: TaskSpec,
+        trial: int,
+        collection: TestCollection,
+        detail: str,
+        logs: str,
+        *,
+        diff: str = "",
+        verdict: tuple[bool, list] | None = None,
+        labels: dict | None = None,
+        **fields,
+    ) -> "RunRecord":
+        """A run whose suite never ran: every assertion failed with
+        ``detail``. ``verdict`` is ``structural_compliance``'s answer, when
+        the patch got that far."""
+        compliant, reports = verdict or (False, [])
+        return cls(
+            task_id=task.id,
+            trial=trial,
+            diff=diff,
+            patch_applied=False,
+            server_started=False,
+            health_ok=False,
+            suite=unreachable_result(collection, detail),
+            verifier_reports=reports,
+            structurally_compliant=compliant,
+            logs=logs,
+            task_summary=_task_summary(task),
+            labels=dict(labels or {}),
+            **fields,
+        )
 
     @property
     def raw_fraction(self) -> float:
@@ -139,7 +173,7 @@ class RunRecord:
         return {
             "task_id": self.task_id,
             "trial": self.trial,
-            "patch": json.loads(self.patch.to_json()),
+            "diff": self.diff,
             "patch_applied": self.patch_applied,
             "server_started": self.server_started,
             "health_ok": self.health_ok,
@@ -290,7 +324,9 @@ def _group_alive(process: subprocess.Popen) -> bool:
     """True while any process of run.sh's process group is left.
 
     ``run.sh`` is reaped first, so it does not count once it has exited; a
-    server it put in the background keeps the group alive without it.
+    server it put in the background keeps the group alive without it. An
+    orphan that has exited but waits to be reaped by PID 1 is a zombie and
+    does not count either, where ``/proc`` can tell.
     """
     process.poll()
     try:
@@ -299,7 +335,31 @@ def _group_alive(process: subprocess.Popen) -> bool:
         return False
     except PermissionError:
         return True
-    return True
+    return process.returncode is None or _group_has_live_member(process.pid)
+
+
+def _group_has_live_member(pgid: int) -> bool:
+    """Whether ``/proc`` shows a process of group ``pgid`` that is not a
+    zombie; True when ``/proc`` is missing or belongs to another PID
+    namespace, since it cannot tell then."""
+    try:
+        with open("/proc/self/stat", "rb") as handle:
+            if int(handle.read().split()[0]) != os.getpid():
+                return True
+        pids = [name for name in os.listdir("/proc") if name.isdigit()]
+    except (OSError, ValueError):
+        return True
+    for pid in pids:
+        try:
+            with open(f"/proc/{pid}/stat", "rb") as handle:
+                stat = handle.read()
+        except OSError:
+            continue  # exited meanwhile
+        # "pid (comm) state ppid pgrp ...": comm may hold spaces and ")"
+        state, _, pgrp = stat[stat.rindex(b")") + 2:].split()[:3]
+        if int(pgrp) == pgid and state != b"Z":
+            return True
+    return False
 
 
 def _signal_group(process: subprocess.Popen, signum: int):
@@ -337,47 +397,36 @@ def evaluate_phase(
     started_at = time.monotonic()
     log_parts: list[str] = []
 
+    diff = filter_excluded_sections(diff_text)
     try:
-        patch_doc = apply_exclusions(parse_patch(diff_text))
+        patch_doc = apply_exclusions(parse_patch(diff))
     except PatchParseError as exc:
         log_parts.append(f"patch parse error: {exc}")
         patch_doc = PatchDocument()
     compliant, reports = structural_compliance(task, patch_doc, config.aliases)
+    del patch_doc  # not kept: the verdicts re-derive from ``diff``
 
-    record = RunRecord(
-        task_id=task.id,
-        trial=trial,
-        patch=patch_doc,
-        patch_applied=False,
-        server_started=False,
-        health_ok=False,
-        suite=unreachable_result(collection, "not run"),
-        verifier_reports=reports,
-        structurally_compliant=compliant,
-        token_usage=token_usage,
-        task_summary=_task_summary(task),
-        labels=dict(labels or {}),
-    )
+    def failed(detail: str, logs: str, **fields) -> RunRecord:
+        return RunRecord.failed(
+            task, trial, collection, detail, logs, diff=diff, verdict=(compliant, reports),
+            labels=labels, token_usage=token_usage,
+            wall_time=time.monotonic() - started_at, **fields,
+        )
 
     if task.constraints.database == "postgres" and not config.pg_url:
-        record.environment_skipped = True
-        record.suite = unreachable_result(
-            collection, "environment-skipped: no PostgreSQL target configured (set PG_URL)"
+        return failed(
+            "environment-skipped: no PostgreSQL target configured (set PG_URL)",
+            "environment-skipped: postgres task without PG_URL",
+            environment_skipped=True,
         )
-        record.logs = "environment-skipped: postgres task without PG_URL"
-        record.wall_time = time.monotonic() - started_at
-        return record
 
     try:
         workspace = _make_workspace(task, port=port or config.port_pool[0], config=config)
     except TaskSetupError as exc:
-        record.setup_error = True
-        record.logs = f"task setup error: {exc}"
-        record.suite = unreachable_result(collection, "task setup error")
-        record.wall_time = time.monotonic() - started_at
-        return record
+        return failed("task setup error", f"task setup error: {exc}", setup_error=True)
 
     process = None
+    patch_applied = server_started = health_ok = False
     try:
         if diff_text.strip():
             patch_file = workspace.meta / "changes.diff"
@@ -385,15 +434,15 @@ def evaluate_phase(
             applied = _git(
                 ["apply", "--whitespace=nowarn", str(patch_file)], workspace.root, check=False
             )
-            record.patch_applied = applied.returncode == 0
-            if not record.patch_applied:
+            patch_applied = applied.returncode == 0
+            if not patch_applied:
                 log_parts.append(f"git apply failed: {applied.stderr.strip()}")
         else:
-            record.patch_applied = True
+            patch_applied = True
             log_parts.append("empty diff: nothing to apply")
 
         env = _run_env(workspace, config)
-        if record.patch_applied:
+        if patch_applied:
             for command in task.setup_commands:
                 try:
                     completed = subprocess.run(
@@ -415,31 +464,31 @@ def evaluate_phase(
                         stdout=log_handle, stderr=subprocess.STDOUT,
                         start_new_session=True,
                     )
-                record.server_started = True
+                server_started = True
                 base_url = f"http://127.0.0.1:{workspace.port}/api"
-                record.health_ok = poll_health(
+                health_ok = poll_health(
                     base_url,
                     interval=config.health_interval,
                     max_attempts=config.health_max_attempts,
                     total_timeout=config.health_total_timeout,
                     alive=lambda: _group_alive(process),
                 )
-                if not record.health_ok and not _group_alive(process):
+                if not health_ok and not _group_alive(process):
                     log_parts.append(
                         f"server exited with code {process.returncode} "
                         "before answering health-check"
                     )
-                if record.health_ok:
-                    record.suite = run_suite(
+                if health_ok:
+                    suite = run_suite(
                         collection, base_url, request_timeout=config.request_timeout
                     )
                 else:
-                    record.suite = unreachable_result(collection, "server unreachable")
+                    suite = unreachable_result(collection, "server unreachable")
             else:
                 log_parts.append("no run.sh in patched tree; server not started")
-                record.suite = unreachable_result(collection, "server unreachable")
+                suite = unreachable_result(collection, "server unreachable")
         else:
-            record.suite = unreachable_result(collection, "patch failed to apply")
+            suite = unreachable_result(collection, "patch failed to apply")
     finally:
         if process is not None:
             _terminate(process, config.shutdown_grace)
@@ -450,9 +499,22 @@ def evaluate_phase(
             )
         workspace.destroy()
 
-    record.logs = "\n".join(log_parts)
-    record.wall_time = time.monotonic() - started_at
-    return record
+    return RunRecord(
+        task_id=task.id,
+        trial=trial,
+        diff=diff,
+        patch_applied=patch_applied,
+        server_started=server_started,
+        health_ok=health_ok,
+        suite=suite,
+        verifier_reports=reports,
+        structurally_compliant=compliant,
+        logs="\n".join(log_parts),
+        token_usage=token_usage,
+        wall_time=time.monotonic() - started_at,
+        task_summary=_task_summary(task),
+        labels=dict(labels or {}),
+    )
 
 
 def run_one(
@@ -468,25 +530,11 @@ def run_one(
     try:
         build = build_phase(task, provider, trial=trial, config=config, port=port)
     except TaskSetupError as exc:
-        record = RunRecord(
-            task_id=task.id,
-            trial=trial,
-            patch=PatchDocument(),
-            patch_applied=False,
-            server_started=False,
-            health_ok=False,
-            suite=unreachable_result(collection, "task setup error"),
-            verifier_reports=[],
-            structurally_compliant=False,
-            logs=f"task setup error: {exc}",
-            setup_error=True,
-            task_summary=_task_summary(task),
-            labels=dict(labels or {}),
+        return RunRecord.failed(
+            task, trial, collection, "task setup error", f"task setup error: {exc}",
+            verdict=structural_compliance(task, PatchDocument(), config.aliases),
+            labels=labels, setup_error=True,
         )
-        compliant, reports = structural_compliance(task, record.patch, config.aliases)
-        record.verifier_reports = reports
-        record.structurally_compliant = compliant
-        return record
     return evaluate_phase(
         task,
         build.diff_text,
@@ -532,19 +580,9 @@ def run_campaign(
             )
         except Exception as exc:  # run containment: campaign must survive anything
             logger.exception("run crashed: %s trial %s", task.id, trial)
-            records[index] = RunRecord(
-                task_id=task.id,
-                trial=trial,
-                patch=PatchDocument(),
-                patch_applied=False,
-                server_started=False,
-                health_ok=False,
-                suite=unreachable_result(collection, "internal error"),
-                verifier_reports=[],
-                structurally_compliant=False,
-                logs=f"internal error: {exc!r}",
-                task_summary=_task_summary(task),
-                labels=dict(labels or {}),
+            records[index] = RunRecord.failed(
+                task, trial, collection, "internal error", f"internal error: {exc!r}",
+                labels=labels,
             )
         finally:
             ports.put(port)

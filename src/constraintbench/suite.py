@@ -104,16 +104,6 @@ class AssertionOutcome:
     passed: bool
     detail: str
 
-    def to_dict(self) -> dict:
-        return {
-            "folder": self.folder,
-            "request": self.request,
-            "index": self.index,
-            "kind": self.kind,
-            "passed": self.passed,
-            "detail": self.detail,
-        }
-
 
 @dataclass
 class SuiteResult:
@@ -133,13 +123,32 @@ class SuiteResult:
         return [o for o in self.per_assertion if not o.passed]
 
     def to_dict(self) -> dict:
-        return {
+        """Stored form: the counts, the failing outcomes and per-folder
+        tallies. Passing outcomes all read "ok" in collection order, so
+        ``from_record`` rebuilds them. A suite whose requests never got a
+        response and whose assertions all failed with one detail is stored
+        as ``not_run`` with that detail and no rows."""
+        payload = {
             "name": self.name,
             "requests_executed": self.requests_executed,
             "assertions_total": self.assertions_total,
             "assertions_passed": self.assertions_passed,
-            "per_assertion": [o.to_dict() for o in self.per_assertion],
+            "folders": {},
         }
+        for o in self.per_assertion:
+            tally = payload["folders"].setdefault(o.folder, [0, 0])
+            tally[0] += o.passed
+            tally[1] += 1
+        details = {o.detail for o in self.per_assertion}
+        if self.requests_executed == 0 and self.assertions_passed == 0 and len(details) == 1:
+            payload["not_run"] = details.pop()
+        else:
+            payload["failed"] = [
+                {"folder": o.folder, "request": o.request, "index": o.index,
+                 "kind": o.kind, "detail": o.detail}
+                for o in self.failed()
+            ]
+        return payload
 
     def to_json(self) -> str:
         return json.dumps(self.to_dict(), indent=2, sort_keys=True)
@@ -153,19 +162,35 @@ class SuiteResult:
         return buffer.getvalue()
 
     @classmethod
-    def from_dict(cls, payload: dict) -> "SuiteResult":
+    def from_record(cls, payload: dict, collection: TestCollection) -> "SuiteResult":
+        """Rebuild the full result from its ``to_dict`` form and the
+        collection it ran; raises ValueError when the two do not match."""
+        keys = [(f.name, r.name) for f in collection.folders for r in f.requests]
+        if len(set(keys)) != len(keys):
+            raise ValueError("collection repeats a request name within a folder")
+        not_run = payload.get("not_run")
+        failed = {
+            (row["folder"], row["request"], row["index"]): row["detail"]
+            for row in payload.get("failed", [])
+        }
         result = cls(name=payload["name"], requests_executed=payload["requests_executed"])
-        result.per_assertion = [
-            AssertionOutcome(
-                folder=o["folder"],
-                request=o["request"],
-                index=o["index"],
-                kind=o["kind"],
-                passed=o["passed"],
-                detail=o["detail"],
-            )
-            for o in payload["per_assertion"]
-        ]
+        for folder in collection.folders:
+            for request in folder.requests:
+                for index, assertion in enumerate(request.assertions):
+                    if not_run is None:
+                        detail = failed.pop((folder.name, request.name, index), None)
+                    else:
+                        detail = not_run
+                    result.per_assertion.append(AssertionOutcome(
+                        folder.name, request.name, index, assertion.kind,
+                        detail is None, "ok" if detail is None else detail,
+                    ))
+        if (
+            failed
+            or result.assertions_total != payload["assertions_total"]
+            or result.assertions_passed != payload["assertions_passed"]
+        ):
+            raise ValueError(f"suite record does not match collection {collection.name!r}")
         return result
 
 

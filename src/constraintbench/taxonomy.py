@@ -104,11 +104,10 @@ def assemble_evidence(run, trajectory: list | None = None, n_turns: int = 20) ->
         raise NotAFailureError(f"run {record.get('task_id')} passed; nothing to classify")
 
     suite = record.get("suite", {})
-    per_folder: dict[str, dict] = {}
-    for outcome in suite.get("per_assertion", []):
-        stats = per_folder.setdefault(outcome["folder"], {"passed": 0, "total": 0})
-        stats["total"] += 1
-        stats["passed"] += bool(outcome["passed"])
+    per_folder = {
+        folder: {"passed": passed, "total": total}
+        for folder, (passed, total) in suite.get("folders", {}).items()
+    }
 
     verifier_bits = []
     for report in record.get("verifier_reports", []):

@@ -1,5 +1,6 @@
 import json
 import socket
+import subprocess
 import threading
 import time
 from pathlib import Path
@@ -8,7 +9,8 @@ import pytest
 
 from constraintbench.composer import FRAMEWORKS, ConstraintSet, TaskSpec, task_id
 from constraintbench.errors import TaskSetupError
-from constraintbench.golden import files_to_diff, golden_patch, write_recorded_tree
+from constraintbench.diffs import apply_exclusions, parse_patch
+from constraintbench.golden import files_to_diff, golden_patch, layered_files, write_recorded_tree
 from constraintbench import harness
 from constraintbench.harness import (
     HarnessConfig,
@@ -18,7 +20,9 @@ from constraintbench.harness import (
     load_campaign,
     run_campaign,
 )
-from constraintbench.suite import load_collection
+from constraintbench.suite import SuiteResult, load_collection, poll_health
+from constraintbench.taxonomy import assemble_evidence
+from constraintbench.verifiers import structural_compliance
 
 from conftest import run_git, write_tree
 
@@ -333,6 +337,21 @@ def test_campaign_survives_missing_recorded_diff(tmp_path, mini_collection, conf
     assert all(not r.full_pass for r in records)
 
 
+def test_campaign_contains_a_crashing_run(monkeypatch, mini_collection, config, flask_l0):
+    def crash(*args, **kwargs):
+        raise RuntimeError("boom")
+
+    monkeypatch.setattr(harness, "run_one", crash)
+    provider = PatchProvider("recorded_directory", "unused")
+    [record] = run_campaign([flask_l0], provider, 1, mini_collection, config=config)
+    assert record.logs == "internal error: RuntimeError('boom')"
+    assert record.verifier_reports == [] and record.structurally_compliant is False
+    stored = record.to_dict()
+    assert stored["diff"] == ""
+    assert stored["suite"]["not_run"] == "internal error"
+    assert stored["task"]["id"] == flask_l0.id
+
+
 def test_campaign_never_gives_one_port_to_two_runs(monkeypatch, mini_collection, flask_l0):
     config = HarnessConfig(port_pool=[8141, 8142], workers=2, pg_url=None)
     lock = threading.Lock()
@@ -401,6 +420,130 @@ def test_campaign_parallel_workers(tmp_path, conduit_collection, flask_l0):
     assert len(records) == 4
     assert [r.trial for r in records] == [0, 1, 2, 3]
     assert all(r.suite.assertions_passed == 291 for r in records)
+
+
+def test_group_alive_ignores_zombie_orphans(tmp_path):
+    # run.sh exits at once; its backgrounded child exits 0.3 s later and is
+    # left for PID 1 to reap, so it may linger as a zombie of the group
+    (tmp_path / "run.sh").write_text("(sleep 0.3) & exit 0\n")
+    with socket.socket() as probe:
+        probe.bind(("127.0.0.1", 0))
+        port = probe.getsockname()[1]
+    process = subprocess.Popen(["bash", "run.sh"], cwd=tmp_path, start_new_session=True)
+    started = time.monotonic()
+    try:
+        healthy = poll_health(f"http://127.0.0.1:{port}/api", interval=0.5, max_attempts=20,
+                              total_timeout=20, alive=lambda: harness._group_alive(process))
+        waited = time.monotonic() - started
+    finally:
+        harness._terminate(process, 1.0)
+    assert healthy is False
+    assert waited < 0.3 + 0.5
+
+
+# -- stored records ----------------------------------------------------------------
+
+
+def _l3_task(database="sqlite"):
+    framework = FRAMEWORKS["flask"]
+    constraints = ConstraintSet(architecture=True, database=database, orm=True)
+    return TaskSpec(
+        id=task_id(framework, constraints), kind="generation", framework=framework,
+        constraints=constraints, level=3, prompt="p", setup_commands=[],
+    )
+
+
+def _layered_with_run_sh(script):
+    files = layered_files()
+    files["run.sh"] = (script, True)
+    return files_to_diff(files)
+
+
+STORED_RUNS = {
+    "full_pass": (_l3_task(), golden_patch("layered")),
+    "partial_pass": (_l3_task(), _layered_with_run_sh(
+        "#!/bin/sh\nexec python3 server.py --disable comments\n")),
+    "crashed": (_l3_task(), _layered_with_run_sh("#!/bin/sh\nexit 7\n")),
+    "environment_skipped": (_l3_task("postgres"), golden_patch("layered")),
+}
+
+
+@pytest.fixture(scope="module")
+def stored_runs(tmp_path_factory, conduit_collection):
+    """Each kind of run once: (task, in-memory record, its stored JSON)."""
+    config = HarnessConfig(
+        port_pool=[8104], health_interval=0.15, health_max_attempts=25,
+        health_total_timeout=20, pg_url=None,
+        workspace_root=str(tmp_path_factory.mktemp("ws")),
+    )
+    runs = {}
+    for kind, (task, diff) in STORED_RUNS.items():
+        record = evaluate_phase(task, diff, conduit_collection, config=config)
+        runs[kind] = (task, record, json.loads(record.to_json()))
+    return runs
+
+
+def test_stored_runs_are_the_intended_kinds(stored_runs):
+    assert stored_runs["full_pass"][1].full_pass is True
+    assert stored_runs["partial_pass"][1].suite.assertions_passed == 291 - 26
+    assert stored_runs["crashed"][1].server_started is True
+    assert stored_runs["crashed"][1].health_ok is False
+    assert stored_runs["environment_skipped"][1].environment_skipped is True
+
+
+@pytest.mark.parametrize("kind", sorted(STORED_RUNS))
+def test_record_rebuilds_suite_and_verdicts(stored_runs, conduit_collection, kind):
+    task, record, stored = stored_runs[kind]
+    suite = SuiteResult.from_record(stored["suite"], conduit_collection)
+    assert suite == record.suite
+    assert suite.to_dict() == record.suite.to_dict()
+
+    compliant, reports = structural_compliance(task, apply_exclusions(parse_patch(stored["diff"])))
+    assert compliant == stored["structurally_compliant"]
+    assert json.loads(json.dumps([r.to_dict() for r in reports])) == stored["verifier_reports"]
+    assert len(reports) == 3
+
+
+def test_record_holds_the_diff_not_the_parsed_patch(stored_runs):
+    stored = stored_runs["full_pass"][2]
+    assert stored["diff"] == golden_patch("layered")
+    assert "patch" not in stored
+
+
+def test_record_diff_leaves_out_excluded_sections(mini_collection, config, flask_l0):
+    kept = files_to_diff({"app.py": ("x = 1\n", False)})
+    vendored = files_to_diff({"node_modules/pkg/index.js": ("module.exports = 1\n", False)})
+    record = evaluate_phase(flask_l0, kept + vendored, mini_collection, config=config)
+    assert record.patch_applied is True
+    assert record.to_dict()["diff"] == kept
+
+
+def test_record_suite_shapes(stored_runs):
+    full = stored_runs["full_pass"][2]["suite"]
+    assert full["failed"] == []
+    assert "not_run" not in full
+    assert all(passed == total for passed, total in full["folders"].values())
+
+    crashed = stored_runs["crashed"][2]["suite"]
+    assert crashed["not_run"] == "server unreachable"
+    assert "failed" not in crashed
+    assert all(passed == 0 for passed, _ in crashed["folders"].values())
+
+    partial = stored_runs["partial_pass"][2]["suite"]
+    assert len(partial["failed"]) == 26
+    assert {row["folder"] for row in partial["failed"]} == {"Articles, Favorites, Comments"}
+
+
+def test_evidence_from_a_partial_failure_record(stored_runs):
+    bundle = assemble_evidence(stored_runs["partial_pass"][2])
+    assert bundle.test_summary == {
+        "Auth": {"passed": 30, "total": 30},
+        "Articles": {"passed": 20, "total": 20},
+        "Articles, Favorites, Comments": {"passed": 186, "total": 212},
+        "Profiles": {"passed": 26, "total": 26},
+        "Tags": {"passed": 3, "total": 3},
+    }
+    assert bundle.run_digest["assertions_passed"] == 265
 
 
 # -- feature tasks over a local fixture repository ------------------------------

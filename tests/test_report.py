@@ -1,6 +1,5 @@
 import pytest
 
-from constraintbench.diffs import PatchDocument
 from constraintbench.errors import MetricError, TaskSetupError
 from constraintbench.harness import RunRecord, write_campaign
 from constraintbench.report import build_report, score_campaign, write_tables
@@ -30,7 +29,7 @@ def synthetic_records():
             RunRecord(
                 task_id=score.task_id,
                 trial=score.trial,
-                patch=PatchDocument(),
+                diff="",
                 patch_applied=True,
                 server_started=True,
                 health_ok=True,

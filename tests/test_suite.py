@@ -9,6 +9,7 @@ from constraintbench.errors import CollectionSchemaError
 from constraintbench.refserver import ServerHandle
 from constraintbench.suite import (
     Assertion,
+    SuiteResult,
     evaluate_assertion,
     load_collection,
     poll_health,
@@ -269,6 +270,34 @@ def test_feature_removal_monotone(conduit_collection):
         with ServerHandle(port=0, disabled=[group]) as server:
             partial = run_suite(conduit_collection, server.base_url).assertions_passed
         assert partial < full
+
+
+def test_stored_form_round_trips_every_outcome(conduit_collection):
+    with ServerHandle(port=0, disabled=["profiles"]) as server:
+        result = run_suite(conduit_collection, server.base_url)
+    stored = json.loads(result.to_json())
+    assert "per_assertion" not in stored
+    assert len(stored["failed"]) == sum(PROFILES_OFF.values())
+    assert stored["folders"]["Profiles"] == [26 - sum(PROFILES_OFF.values()), 26]
+    assert SuiteResult.from_record(stored, conduit_collection) == result
+
+
+def test_unreachable_result_stored_as_not_run(conduit_collection):
+    result = unreachable_result(conduit_collection, "server unreachable")
+    stored = result.to_dict()
+    assert stored["not_run"] == "server unreachable"
+    assert "failed" not in stored
+    assert stored["assertions_total"] == 291
+    assert SuiteResult.from_record(stored, conduit_collection) == result
+
+
+def test_from_record_rejects_another_collection(conduit_collection):
+    mini = load_collection(json.dumps({"name": "mini", "folders": [{"name": "Auth", "requests": [
+        {"name": "Login", "method": "GET", "path": "/x",
+         "assertions": [{"kind": "status_code", "expect": 200}]}]}]}))
+    stored = unreachable_result(conduit_collection, "server unreachable").to_dict()
+    with pytest.raises(ValueError):
+        SuiteResult.from_record(stored, mini)
 
 
 def test_unreachable_result_shape(conduit_collection):

@@ -47,12 +47,11 @@ def failed_run_dict(**overrides):
         "suite": {
             "assertions_passed": 100,
             "assertions_total": 291,
-            "per_assertion": [
-                {"folder": "Auth", "request": "Login", "index": 0, "kind": "status_code",
-                 "passed": True, "detail": "ok"},
+            "failed": [
                 {"folder": "Tags", "request": "All Tags", "index": 0, "kind": "status_code",
-                 "passed": False, "detail": "expected status 200, got 500"},
+                 "detail": "expected status 200, got 500"},
             ],
+            "folders": {"Auth": [1, 1], "Tags": [0, 1]},
         },
         "verifier_reports": [
             {"axis": "database", "compliant": False,
