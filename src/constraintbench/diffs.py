@@ -112,10 +112,27 @@ def _strip_prefix(path: str) -> str:
     return path
 
 
+_C_ESCAPE_RE = re.compile(rb'\\([0-3][0-7]{2}|[abtnvfr"\\])')
+_C_ESCAPES = {
+    b"a": b"\a", b"b": b"\b", b"t": b"\t", b"n": b"\n", b"v": b"\v",
+    b"f": b"\f", b"r": b"\r", b'"': b'"', b"\\": b"\\",
+}
+
+
 def _unquote(path: str) -> str:
-    if path.startswith('"') and path.endswith('"'):
-        return path[1:-1]
-    return path
+    """Decode a path git wrote C-quoted: ``"caf\\303\\251.py"`` is ``café.py``.
+
+    Octal escapes are the bytes of the UTF-8 name; bytes that do not decode
+    are kept as surrogates rather than raising."""
+    if len(path) < 2 or not (path.startswith('"') and path.endswith('"')):
+        return path
+
+    def decode(match: re.Match) -> bytes:
+        code = match.group(1)
+        return bytes([int(code, 8)]) if len(code) == 3 else _C_ESCAPES[code]
+
+    raw = _C_ESCAPE_RE.sub(decode, path[1:-1].encode("utf-8", "surrogateescape"))
+    return raw.decode("utf-8", "surrogateescape")
 
 
 def parse_patch(diff_text: str) -> PatchDocument:

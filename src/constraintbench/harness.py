@@ -1,9 +1,12 @@
 """Two-phase build/evaluate pipeline over throwaway workspaces.
 
-Each run gets a fresh directory with its own git history, a port from a
-configured pool, and a child-process server; Docker is deliberately absent.
-Patch sources are pluggable: recorded diffs on disk, or an arbitrary command
-run inside the prepared workspace (the hook where a live agent would sit).
+Each run gets a fresh plain directory, a port from a configured pool, and a
+child-process server; Docker is deliberately absent. Evaluation applies the
+patch with one ``git apply`` and keeps no git history. Patch sources are
+pluggable: recorded diffs on disk, or an arbitrary command run inside the
+prepared workspace (the hook where a live agent would sit); only that
+command's workspace commits a git baseline, to diff the command's changes
+against.
 """
 
 from __future__ import annotations
@@ -28,6 +31,8 @@ from .suite import SuiteResult, TestCollection, poll_health, run_suite, unreacha
 from .verifiers import LayerAliasMap, structural_compliance
 
 logger = logging.getLogger(__name__)
+
+GROUP_EXIT_POLL_S = 0.005  # teardown's check for killed group members to be gone
 
 
 @dataclass
@@ -84,7 +89,6 @@ class PatchProvider:
 class Workspace:
     root: Path
     meta: Path
-    baseline_ref: str
     port: int
 
     @property
@@ -210,20 +214,20 @@ def _task_summary(task: TaskSpec) -> dict:
 
 
 def _git(args: list[str], cwd: Path, check: bool = True) -> subprocess.CompletedProcess:
+    # The ceiling keeps git from finding a repository above the run's
+    # directory: inside one, ``git apply`` skips every path outside the
+    # subdirectory it runs in and still exits 0.
     result = subprocess.run(
         ["git", *args], cwd=cwd, capture_output=True, text=True,
-        env={**os.environ, "GIT_TERMINAL_PROMPT": "0"},
+        env={
+            **os.environ,
+            "GIT_TERMINAL_PROMPT": "0",
+            "GIT_CEILING_DIRECTORIES": str(Path(cwd).resolve().parent),
+        },
     )
     if check and result.returncode != 0:
         raise TaskSetupError(f"git {' '.join(args)} failed: {result.stderr.strip()}")
     return result
-
-
-def _init_repo(root: Path):
-    _git(["init", "-q"], root)
-    _git(["config", "user.email", "harness@localhost"], root)
-    _git(["config", "user.name", "harness"], root)
-    _git(["config", "commit.gpgsign", "false"], root)
 
 
 def _make_workspace(task: TaskSpec, port: int, config: HarnessConfig) -> Workspace:
@@ -242,8 +246,6 @@ def _make_workspace(task: TaskSpec, port: int, config: HarnessConfig) -> Workspa
             shutil.rmtree(base, ignore_errors=True)
             raise TaskSetupError(f"clone failed: {clone.stderr.strip()}")
         _git(["checkout", "-q", task.repo_ref["commit"]], root)
-        _git(["config", "user.email", "harness@localhost"], root)
-        _git(["config", "user.name", "harness"], root)
         patch_file = meta / "ablation.diff"
         patch_file.write_text(task.ablation_patch, encoding="utf-8")
         applied = _git(["apply", "--whitespace=nowarn", str(patch_file)], root, check=False)
@@ -252,11 +254,19 @@ def _make_workspace(task: TaskSpec, port: int, config: HarnessConfig) -> Workspa
             raise TaskSetupError(f"ablation patch failed to apply: {applied.stderr.strip()}")
         shutil.rmtree(root / ".git", ignore_errors=True)
 
-    _init_repo(root)
+    return Workspace(root=root, meta=meta, port=port)
+
+
+def _commit_baseline(workspace: Workspace) -> str:
+    """Commit the workspace tree as it stands and return the commit's id."""
+    root = workspace.root
+    _git(["init", "-q"], root)
+    _git(["config", "user.email", "harness@localhost"], root)
+    _git(["config", "user.name", "harness"], root)
+    _git(["config", "commit.gpgsign", "false"], root)
     _git(["add", "-A"], root)
     _git(["commit", "-q", "--allow-empty", "-m", "baseline"], root)
-    baseline = _git(["rev-parse", "HEAD"], root).stdout.strip()
-    return Workspace(root=root, meta=meta, baseline_ref=baseline, port=port)
+    return _git(["rev-parse", "HEAD"], root).stdout.strip()
 
 
 def _run_env(workspace: Workspace, config: HarnessConfig) -> dict:
@@ -267,10 +277,10 @@ def _run_env(workspace: Workspace, config: HarnessConfig) -> dict:
     return env
 
 
-def _extract_diff(workspace: Workspace) -> str:
+def _extract_diff(workspace: Workspace, baseline: str) -> str:
     _git(["add", "-A"], workspace.root)
     diff = _git(
-        ["diff", "--cached", "--no-color", "--no-ext-diff", workspace.baseline_ref],
+        ["diff", "--cached", "--no-color", "--no-ext-diff", baseline],
         workspace.root,
     ).stdout
     return filter_excluded_sections(diff)
@@ -301,6 +311,7 @@ def build_phase(
 
     workspace = _make_workspace(task, port=port or config.port_pool[0], config=config)
     try:
+        baseline = _commit_baseline(workspace)
         (workspace.meta / "task.json").write_text(task.to_json(), encoding="utf-8")
         (workspace.meta / "prompt.txt").write_text(task.prompt, encoding="utf-8")
         env = _run_env(workspace, config)
@@ -315,7 +326,7 @@ def build_phase(
             f"provider exit={completed.returncode}\n"
             f"--- stdout ---\n{completed.stdout}\n--- stderr ---\n{completed.stderr}"
         )
-        return BuildResult(diff_text=_extract_diff(workspace), logs=logs)
+        return BuildResult(diff_text=_extract_diff(workspace, baseline), logs=logs)
     finally:
         workspace.destroy()
 
@@ -371,7 +382,9 @@ def _signal_group(process: subprocess.Popen, signum: int):
 
 def _terminate(process: subprocess.Popen, grace: float):
     """SIGTERM the whole group, give run.sh ``grace`` seconds to exit, then
-    SIGKILL whatever is left, including children that outlived run.sh."""
+    SIGKILL whatever is left, including children that outlived run.sh, and
+    wait (up to ``grace`` again) until they are gone: they are not run.sh's
+    children to reap, and a dying server may still hold the port."""
     _signal_group(process, signal.SIGTERM)
     try:
         process.wait(timeout=grace)
@@ -380,6 +393,9 @@ def _terminate(process: subprocess.Popen, grace: float):
     if _group_alive(process):
         _signal_group(process, signal.SIGKILL)
         process.wait()
+        deadline = time.monotonic() + grace
+        while _group_alive(process) and time.monotonic() < deadline:
+            time.sleep(GROUP_EXIT_POLL_S)
 
 
 def evaluate_phase(
@@ -428,9 +444,9 @@ def evaluate_phase(
     process = None
     patch_applied = server_started = health_ok = False
     try:
-        if diff_text.strip():
+        if diff.strip():
             patch_file = workspace.meta / "changes.diff"
-            patch_file.write_text(diff_text, encoding="utf-8")
+            patch_file.write_text(diff, encoding="utf-8")
             applied = _git(
                 ["apply", "--whitespace=nowarn", str(patch_file)], workspace.root, check=False
             )

@@ -116,12 +116,19 @@ def test_git_diff_roundtrip_matches_difflib_oracle(git_repo, tmp_path):
         ),
         "notes.txt": "first note\nsecond note\nthird brand new note\n",
         "app/new_module.py": "from app.a import alpha_0\nvalue = alpha_0\n",
+        # git C-quotes a non-ASCII name and tab-terminates one with a space
+        "café.py": "naive = 'caf\u00e9'\n",
+        "a b.py": "spaced = True\n",
     }
     write_tree(git_repo, edited)
+    run_git(["config", "core.quotePath", "true"], git_repo)
     run_git(["add", "-A"], git_repo)
     diff = run_git(["diff", "--cached", "--no-color", "HEAD"], git_repo)
+    assert '+++ "b/caf\\303\\251.py"' in diff
+    assert "+++ b/a b.py\t" in diff
 
     doc = parse_patch(diff)
+    assert sorted(f.path for f in doc.files) == sorted(edited)
     parsed = {f.path: f.added_lines for f in doc.files}
     for path, new_content in edited.items():
         expected = _difflib_insertions(base.get(path, ""), new_content)

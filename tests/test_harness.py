@@ -1,4 +1,5 @@
 import json
+import signal
 import socket
 import subprocess
 import threading
@@ -441,6 +442,20 @@ def test_group_alive_ignores_zombie_orphans(tmp_path):
     assert waited < 0.3 + 0.5
 
 
+def test_terminate_returns_only_once_the_group_is_gone(monkeypatch):
+    # a server that outlived run.sh is not its child to reap, and SIGKILL
+    # takes effect later: teardown must wait until the group reads empty
+    answers = iter([True, True, True, False])
+    monkeypatch.setattr(harness, "_group_alive", lambda process: next(answers))
+    sent = []
+    monkeypatch.setattr(harness, "_signal_group", lambda process, signum: sent.append(signum))
+    process = subprocess.Popen(["true"])
+    process.wait()
+    harness._terminate(process, grace=2.0)
+    assert sent == [signal.SIGTERM, signal.SIGKILL]
+    assert next(answers, "drained") == "drained"
+
+
 # -- stored records ----------------------------------------------------------------
 
 
@@ -518,6 +533,20 @@ def test_record_diff_leaves_out_excluded_sections(mini_collection, config, flask
     assert record.to_dict()["diff"] == kept
 
 
+def test_excluded_sections_are_not_applied(mini_collection, config, flask_l0):
+    run_sh = files_to_diff(
+        {"run.sh": ("#!/bin/sh\ntest -e node_modules/pkg/index.js && exit 5; exit 6\n", True)}
+    )
+    vendored = files_to_diff({"node_modules/pkg/index.js": ("module.exports = 1\n", False)})
+    record = evaluate_phase(flask_l0, run_sh + vendored, mini_collection, config=config)
+    assert record.diff == run_sh
+    assert "server exited with code 6 before answering health-check" in record.logs
+
+    only_vendored = evaluate_phase(flask_l0, vendored, mini_collection, config=config)
+    assert only_vendored.patch_applied is True
+    assert "empty diff: nothing to apply" in only_vendored.logs
+
+
 def test_record_suite_shapes(stored_runs):
     full = stored_runs["full_pass"][2]["suite"]
     assert full["failed"] == []
@@ -544,6 +573,73 @@ def test_evidence_from_a_partial_failure_record(stored_runs):
         "Tags": {"passed": 3, "total": 3},
     }
     assert bundle.run_digest["assertions_passed"] == 265
+
+
+# -- evaluate workspaces: a plain directory and one `git apply` -----------------
+
+
+def record_subprocess_runs(monkeypatch) -> list:
+    """Record the argv of every ``subprocess.run`` the harness makes."""
+    calls = []
+    real_run = subprocess.run
+
+    def spy(args, *rest, **kwargs):
+        calls.append(args)
+        return real_run(args, *rest, **kwargs)
+
+    monkeypatch.setattr(harness.subprocess, "run", spy)
+    return calls
+
+
+def test_evaluate_runs_git_apply_and_no_other_git(monkeypatch, mini_collection, config, flask_l0):
+    calls = record_subprocess_runs(monkeypatch)
+    diff = files_to_diff({"app.py": ("x = 1\n", False)})
+    record = evaluate_phase(flask_l0, diff, mini_collection, config=config)
+    assert record.patch_applied is True
+    assert [argv[:2] for argv in calls] == [["git", "apply"]]
+
+
+def test_evaluate_empty_diff_runs_no_git(monkeypatch, mini_collection, config, flask_l0):
+    calls = record_subprocess_runs(monkeypatch)
+    record = evaluate_phase(flask_l0, "", mini_collection, config=config)
+    assert record.patch_applied is True
+    assert "empty diff: nothing to apply" in record.logs
+    assert calls == []
+
+
+# Changes a file the empty tree lacks, so `git apply` rejects the whole patch.
+REJECTED_HUNK = """diff --git a/config/server.ini b/config/server.ini
+--- a/config/server.ini
++++ b/config/server.ini
+@@ -1,2 +1,2 @@
+ [server]
+-workers = 1
++workers = 4
+"""
+
+
+def test_evaluate_inside_an_enclosing_git_repo(tmp_path, mini_collection, config, flask_l0):
+    # git must not take the enclosing repository for the workspace's own:
+    # there a bare `git apply` skips every path and still exits 0
+    enclosing = tmp_path / "checkout"
+    enclosing.mkdir()
+    run_git(["init", "-q"], enclosing)
+    config.workspace_root = str(enclosing / "scratch" / "ws")
+    server = files_to_diff(
+        {
+            "run.sh": ("#!/bin/sh\nexec python3 server.py\n", True),
+            "server.py": (BACKGROUND_SERVER, False),
+        }
+    )
+    record = evaluate_phase(flask_l0, server, mini_collection, config=config)
+    assert record.patch_applied is True
+    assert record.health_ok is True
+    assert record.full_pass is True
+
+    rejected = evaluate_phase(flask_l0, server + REJECTED_HUNK, mini_collection, config=config)
+    assert rejected.patch_applied is False
+    assert "git apply failed" in rejected.logs
+    assert rejected.server_started is False
 
 
 # -- feature tasks over a local fixture repository ------------------------------
