@@ -141,16 +141,6 @@ def cmd_evaluate(args) -> int:
     return 0
 
 
-def cmd_metrics(args) -> int:
-    tables = report.build_report(
-        args.runs,
-        tables=["a_pct_by_level", "pass_at_1_by_level", "marginal_effects", "raw_vs_enforced"],
-    )
-    written = report.write_tables(tables, args.report)
-    print(f"wrote {len(written)} files to {args.report}")
-    return 0
-
-
 def cmd_taxonomy(args) -> int:
     if args.taxonomy_command == "aggregate":
         summary = aggregate_taxonomy(load_labels(args.labels))
@@ -244,9 +234,12 @@ def build_parser() -> _Parser:
     p.set_defaults(handler=cmd_evaluate)
 
     p = sub.add_parser("metrics", help="compute metric tables from results")
-    p.add_argument("--runs", required=True)
-    p.add_argument("--report", required=True)
-    p.set_defaults(handler=cmd_metrics)
+    p.add_argument("--runs", dest="results", metavar="RUNS", required=True)
+    p.add_argument("--report", dest="out", metavar="REPORT", required=True)
+    p.set_defaults(
+        handler=cmd_report, labels=None,
+        tables="a_pct_by_level,pass_at_1_by_level,marginal_effects,raw_vs_enforced",
+    )
 
     p = sub.add_parser("taxonomy", help="failure-label aggregation and judge validation")
     taxonomy_sub = p.add_subparsers(dest="taxonomy_command", required=True)

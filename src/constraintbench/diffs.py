@@ -59,12 +59,6 @@ class FileChange:
 class PatchDocument:
     files: list[FileChange] = field(default_factory=list)
 
-    def file(self, path: str) -> FileChange | None:
-        for change in self.files:
-            if change.path == path:
-                return change
-        return None
-
     def active_files(self) -> list[FileChange]:
         """Files that survived exclusion filtering."""
         return [f for f in self.files if not f.is_excluded]
@@ -103,7 +97,6 @@ class ImportStatement:
     line_number: int
     raw_text: str
     target: str
-    resolved_layer: str | None = None
 
 
 def _strip_prefix(path: str) -> str:

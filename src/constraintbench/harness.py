@@ -25,7 +25,7 @@ from dataclasses import dataclass, field
 from pathlib import Path
 
 from .composer import TaskSpec
-from .diffs import PatchDocument, apply_exclusions, filter_excluded_sections, parse_patch
+from .diffs import PatchDocument, filter_excluded_sections, parse_patch
 from .errors import PatchParseError, TaskSetupError
 from .suite import SuiteResult, TestCollection, poll_health, run_suite, unreachable_result
 from .verifiers import LayerAliasMap, structural_compliance
@@ -318,9 +318,8 @@ def build_phase(
         env["TASK_ID"] = task.id
         env["TASK_FILE"] = str(workspace.meta / "task.json")
         env["TASK_PROMPT_FILE"] = str(workspace.meta / "prompt.txt")
-        completed = subprocess.run(
-            provider.location, shell=True, cwd=workspace.root,
-            capture_output=True, text=True, env=env, timeout=config.provider_timeout,
+        completed = _run_command(
+            provider.location, workspace.root, env, config.provider_timeout, config.shutdown_grace
         )
         logs = (
             f"provider exit={completed.returncode}\n"
@@ -398,6 +397,21 @@ def _terminate(process: subprocess.Popen, grace: float):
             time.sleep(GROUP_EXIT_POLL_S)
 
 
+def _run_command(command: str, cwd: Path, env: dict, timeout: float, grace: float):
+    """``subprocess.run(command, shell=True)`` in a session of its own, so
+    that a timeout stops the command's whole process group, not just the shell."""
+    with subprocess.Popen(
+        command, shell=True, cwd=cwd, env=env, text=True,
+        stdout=subprocess.PIPE, stderr=subprocess.PIPE, start_new_session=True,
+    ) as process:
+        try:
+            stdout, stderr = process.communicate(timeout=timeout)
+        except subprocess.TimeoutExpired:
+            _terminate(process, grace)
+            raise
+    return subprocess.CompletedProcess(command, process.returncode, stdout, stderr)
+
+
 def evaluate_phase(
     task: TaskSpec,
     diff_text: str,
@@ -415,7 +429,7 @@ def evaluate_phase(
 
     diff = filter_excluded_sections(diff_text)
     try:
-        patch_doc = apply_exclusions(parse_patch(diff))
+        patch_doc = parse_patch(diff)
     except PatchParseError as exc:
         log_parts.append(f"patch parse error: {exc}")
         patch_doc = PatchDocument()
@@ -461,9 +475,8 @@ def evaluate_phase(
         if patch_applied:
             for command in task.setup_commands:
                 try:
-                    completed = subprocess.run(
-                        command, shell=True, cwd=workspace.root, env=env,
-                        capture_output=True, text=True, timeout=config.setup_timeout,
+                    completed = _run_command(
+                        command, workspace.root, env, config.setup_timeout, config.shutdown_grace
                     )
                     log_parts.append(
                         f"setup `{command}` exit={completed.returncode}\n"

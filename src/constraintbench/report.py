@@ -154,14 +154,13 @@ def _config_key(agent: str, model: str) -> str:
     return f"{agent}|{model}"
 
 
-def a_pct_by_level(campaign: ScoredCampaign, enforced: bool = True) -> Table:
-    name = "a_pct_by_level" if enforced else "raw_a_pct_by_level"
-    table = Table(name, ["agent", "model", *LEVELS])
+def a_pct_by_level(campaign: ScoredCampaign) -> Table:
+    table = Table("a_pct_by_level", ["agent", "model", *LEVELS])
     for agent, model in campaign.configs:
         row = [agent, model]
         for level in LEVELS:
             runs = campaign.by_level(level, _config_key(agent, model))
-            row.append(_fmt(assert_pct(runs, enforced=enforced) if runs else None))
+            row.append(_fmt(assert_pct(runs) if runs else None))
         table.rows.append(row)
     return table
 

@@ -28,11 +28,11 @@ _MISSING = object()
 ASSERTION_KINDS = ("property_presence", "type_validation", "status_code", "state_transition")
 TRANSITIONS = ("became", "changed", "unchanged", "increased_by", "decreased_by")
 _HTTP_METHODS = ("GET", "POST", "PUT", "DELETE", "PATCH", "HEAD", "OPTIONS")
-# Between its scheduled probes poll_health re-probes, first after
-# REPROBE_FIRST_S and then at gaps that double up to REPROBE_CAP_S, so a
-# server that comes up just after a failed probe waits no whole interval.
+# poll_health re-probes after REPROBE_FIRST_S, then at gaps doubling up to
+# REPROBE_CAP_S; a probe may take the time left to give up, but PROBE_FLOOR_S.
 REPROBE_FIRST_S = 0.01
 REPROBE_CAP_S = 0.05
+PROBE_FLOOR_S = 0.01
 
 _TYPE_CHECKS = {
     "string": lambda v: isinstance(v, str),
@@ -425,7 +425,6 @@ def _http_request(url: str, method: str, headers: dict, body_bytes, timeout: flo
 def run_suite(
     collection: TestCollection,
     base_url: str,
-    globals_map: dict | None = None,
     request_timeout: float = 10.0,
 ) -> SuiteResult:
     """Execute the collection strictly in order against a server.
@@ -436,7 +435,6 @@ def run_suite(
     """
     base = base_url.rstrip("/")
     variables = dict(collection.global_defaults)
-    variables.update(globals_map or {})
     result = SuiteResult(name=collection.name)
 
     for folder in collection.folders:
@@ -508,33 +506,28 @@ def poll_health(
 ) -> bool:
     """True iff GET {base_url}/health-check answers 200 within both limits.
 
-    Scheduled probes run ``interval`` apart, and the wait gives up after
-    the last one that ``max_attempts`` and ``total_timeout`` allow. Extra
-    probes in between do not move that point. ``alive``, when given, is
-    asked before every probe; once it answers False the wait ends with
-    False and no further probe, since whatever answers then is not the
-    server being waited for.
+    The wait gives up at the last of the probes ``interval`` apart that
+    ``max_attempts`` and ``total_timeout`` allow, even while a server holds
+    a probe unanswered. ``alive``, when given, is asked before every probe;
+    once it answers False the wait ends with no further probe, since
+    whatever answers then is not the server being waited for.
     """
     if interval <= 0:
         raise ValueError("interval must be positive")
     url = base_url.rstrip("/") + "/health-check"
-    start = time.monotonic()
-    due = start  # when the next scheduled probe is due
-    attempts = 0
+    deadline = time.monotonic() + interval * min(max_attempts - 1, total_timeout // interval)
     gap = REPROBE_FIRST_S
-    while attempts < max_attempts and (alive is None or alive()):
+    while max_attempts > 0 and (alive is None or alive()):
+        timeout = min(request_timeout, max(deadline - time.monotonic(), PROBE_FLOOR_S))
         try:
-            status, _ = _http_request(url, "GET", {}, None, request_timeout)
+            status, _ = _http_request(url, "GET", {}, None, timeout)
             if status == 200:
                 return True
         except (urllib.error.URLError, ConnectionError, TimeoutError, OSError):
             pass
         now = time.monotonic()
-        if now >= due:
-            attempts += 1
-            if attempts >= max_attempts or now - start + interval > total_timeout:
-                return False
-            due = now + interval
-        time.sleep(min(gap, due - now))
+        if now >= deadline:
+            return False
+        time.sleep(min(gap, interval, deadline - now))
         gap = min(2 * gap, REPROBE_CAP_S)
     return False

@@ -17,35 +17,14 @@ from .diffs import PatchDocument, apply_exclusions, extract_imports
 
 LAYER_RANKS = {"models": 0, "repositories": 1, "services": 2, "routes": 3}
 
-DEFAULT_ALIASES = {
-    "routes": "routes",
-    "handlers": "routes",
-    "routers": "routes",
-    "views": "routes",
-    "controllers": "routes",
-    "api": "routes",
-    "services": "services",
-    "usecases": "services",
-    "use_cases": "services",
-    "domain_services": "services",
-    "repositories": "repositories",
-    "repository": "repositories",
-    "repos": "repositories",
-    "dal": "repositories",
-    "data_access": "repositories",
-    "persistence": "repositories",
-    "models": "models",
-    "entities": "models",
-    "schemas": "models",
-    "domain": "models",
-}
+_SHIPPED_ALIASES = json.loads(resources.files(__package__).joinpath("assets/aliases.json").read_text())
 
 
 @dataclass
 class LayerAliasMap:
     """Directory-name token -> canonical layer, matched case-insensitively."""
 
-    aliases: dict[str, str] = field(default_factory=lambda: dict(DEFAULT_ALIASES))
+    aliases: dict[str, str] = field(default_factory=lambda: dict(_SHIPPED_ALIASES))
 
     def __post_init__(self):
         self.aliases = {token.lower(): layer for token, layer in self.aliases.items()}
@@ -63,8 +42,7 @@ class LayerAliasMap:
 
 
 def default_alias_map() -> LayerAliasMap:
-    data = resources.files("constraintbench").joinpath("assets/aliases.json").read_text()
-    return LayerAliasMap(aliases=json.loads(data))
+    return LayerAliasMap()
 
 
 def classify_layer(path: str, aliases: LayerAliasMap) -> str | None:
@@ -105,40 +83,25 @@ class VerifierReport:
             ],
         }
 
-    @classmethod
-    def from_dict(cls, payload: dict) -> "VerifierReport":
-        return cls(
-            axis=payload["axis"],
-            compliant=payload["compliant"],
-            evidence=[(e["path"], e["line"], e["match"], e["tag"]) for e in payload["evidence"]],
-            violations=[(v["description"], v["path"], v["line"]) for v in payload["violations"]],
-        )
 
-
-# Pattern scopes: "any" = every scanned line (case-insensitive); "package_json"
-# = package.json only, case-sensitive (npm names are); "python_dep_file" =
-# requirements/pyproject/Pipfile/setup files.
+# Evidence per database engine and ORM as (tag, regex, scope). Scopes: "any" =
+# every scanned line (case-insensitive); "package_json" = package.json only,
+# case-sensitive (npm names are); "python_dep_file" = requirements/pyproject/
+# Pipfile/setup files.
 _ANY = "any"
 _PKG_JSON = "package_json"
 _PY_DEP = "python_dep_file"
 
 
-@dataclass
-class EvidencePatternSet:
-    sqlite_patterns: list[tuple[str, str, str]]
-    postgres_patterns: list[tuple[str, str, str]]
-    sqlalchemy_patterns: list[tuple[str, str, str]]
-    sequelize_patterns: list[tuple[str, str, str]]
-
-    def for_database(self, engine: str) -> list[tuple[str, str, str]]:
-        return {"sqlite": self.sqlite_patterns, "postgres": self.postgres_patterns}[engine]
-
-    def for_orm(self, orm: str) -> list[tuple[str, str, str]]:
-        return {"sqlalchemy": self.sqlalchemy_patterns, "sequelize": self.sequelize_patterns}[orm]
+def _compiled(*patterns: tuple[str, str, str]) -> list[tuple[str, re.Pattern, str]]:
+    return [
+        (tag, re.compile(regex, 0 if scope == _PKG_JSON else re.IGNORECASE), scope)
+        for tag, regex, scope in patterns
+    ]
 
 
-DEFAULT_PATTERNS = EvidencePatternSet(
-    sqlite_patterns=[
+EVIDENCE_PATTERNS = {
+    "sqlite": _compiled(
         ("sqlite3-import", r"\b(?:import|from)\s+sqlite3\b", _ANY),
         ("aiosqlite-import", r"\b(?:import|from)\s+aiosqlite\b", _ANY),
         ("sqlite-url", r"\bsqlite(?:\+\w+)?://", _ANY),
@@ -147,8 +110,8 @@ DEFAULT_PATTERNS = EvidencePatternSet(
         ("node-sqlite-import", r"""from\s+['"](?:better-)?sqlite3['"]""", _ANY),
         ("pkg-dep-sqlite", r'"(?:better-)?sqlite3"\s*:', _PKG_JSON),
         ("sequelize-dialect-sqlite", r"""dialect\s*:\s*['"]sqlite['"]""", _ANY),
-    ],
-    postgres_patterns=[
+    ),
+    "postgres": _compiled(
         ("psycopg-asyncpg-import", r"\b(?:import|from)\s+(?:psycopg2?|asyncpg)\b", _ANY),
         ("postgres-url", r"\bpostgres(?:ql)?(?:\+\w+)?://", _ANY),
         ("sqlalchemy-pg-dialect", r"sqlalchemy\.dialects\.postgresql", _ANY),
@@ -159,19 +122,19 @@ DEFAULT_PATTERNS = EvidencePatternSet(
         ("sequelize-dialect-postgres", r"""dialect\s*:\s*['"]postgres(?:ql)?['"]""", _ANY),
         ("postgres-host", r"@postgres\b", _ANY),
         ("postgres-host", r"""\bhost\s*[=:]\s*['"]?postgres['"]?\b""", _ANY),
-    ],
-    sqlalchemy_patterns=[
+    ),
+    "sqlalchemy": _compiled(
         ("sqlalchemy-import", r"^\s*import\s+sqlalchemy\b", _ANY),
         ("sqlalchemy-from-import", r"^\s*from\s+sqlalchemy(?:\.\w+)*\s+import\b", _ANY),
         ("dep-file-sqlalchemy", r"sqlalchemy", _PY_DEP),
-    ],
-    sequelize_patterns=[
+    ),
+    "sequelize": _compiled(
         ("sequelize-require", r"""require\s*\(\s*['"]sequelize['"]\s*\)""", _ANY),
         ("sequelize-import", r"""import\s+.*\bfrom\s+['"]sequelize['"]""", _ANY),
         ("sequelize-new", r"new\s+Sequelize\s*\(", _ANY),
         ("pkg-dep-sequelize", r'"sequelize"\s*:', _PKG_JSON),
-    ],
-)
+    ),
+}
 
 _PY_DEP_NAMES = re.compile(r"^(requirements[\w.-]*\.txt|pyproject\.toml|Pipfile|setup\.py|setup\.cfg)$")
 
@@ -189,15 +152,11 @@ def _scope_matches(scope: str, path: str) -> bool:
     return False
 
 
-def _scan(patch: PatchDocument, patterns: list[tuple[str, str, str]]):
+def _scan(patch: PatchDocument, patterns: list[tuple[str, re.Pattern, str]]):
     """Yield (path, line_number, matched_text, tag) for every pattern hit."""
-    compiled = [
-        (tag, re.compile(regex) if scope == _PKG_JSON else re.compile(regex, re.IGNORECASE), scope)
-        for tag, regex, scope in patterns
-    ]
     hits = []
     for change in patch.active_files():
-        applicable = [(t, r) for t, r, scope in compiled if _scope_matches(scope, change.path)]
+        applicable = [(t, r) for t, r, scope in patterns if _scope_matches(scope, change.path)]
         if not applicable:
             continue
         for line_number, text in change.added_lines:
@@ -237,17 +196,13 @@ def _forgive_django_override(expected_hits, alt_hits, expected: str):
     ]
 
 
-def verify_database(
-    patch: PatchDocument,
-    expected: str,
-    patterns: EvidencePatternSet = DEFAULT_PATTERNS,
-) -> VerifierReport:
+def verify_database(patch: PatchDocument, expected: str) -> VerifierReport:
     """Expected-engine evidence must be present and the alternative absent."""
     if expected not in ("sqlite", "postgres"):
         raise ValueError(f"expected engine must be sqlite or postgres, got {expected!r}")
     alternative = "postgres" if expected == "sqlite" else "sqlite"
-    expected_hits = _scan(patch, patterns.for_database(expected))
-    alt_hits = _scan(patch, patterns.for_database(alternative))
+    expected_hits = _scan(patch, EVIDENCE_PATTERNS[expected])
+    alt_hits = _scan(patch, EVIDENCE_PATTERNS[alternative])
     alt_hits = _forgive_django_override(expected_hits, alt_hits, expected)
 
     violations = [
@@ -264,15 +219,11 @@ def verify_database(
     )
 
 
-def verify_orm(
-    patch: PatchDocument,
-    expected: str,
-    patterns: EvidencePatternSet = DEFAULT_PATTERNS,
-) -> VerifierReport:
+def verify_orm(patch: PatchDocument, expected: str) -> VerifierReport:
     """At least one expected-ORM evidence hit; alternative ORMs are not penalized."""
     if expected not in ("sqlalchemy", "sequelize"):
         raise ValueError(f"expected ORM must be sqlalchemy or sequelize, got {expected!r}")
-    hits = _scan(patch, patterns.for_orm(expected))
+    hits = _scan(patch, EVIDENCE_PATTERNS[expected])
     violations = []
     if not hits:
         violations.append((f"no {expected} evidence found in added lines", "", 0))
@@ -310,7 +261,6 @@ def verify_architecture(
             target_layer = resolve_import_layer(stmt.target, aliases)
             if target_layer is None:
                 continue
-            stmt.resolved_layer = target_layer
             if rank < LAYER_RANKS[target_layer]:
                 violations.append(
                     (

@@ -1,4 +1,5 @@
 import json
+import os
 import signal
 import socket
 import subprocess
@@ -180,6 +181,59 @@ def test_evaluate_runs_setup_commands(mini_collection, config, tmp_path, flask_l
     record = evaluate_phase(task, golden_patch("layered"), mini_collection, config=config)
     assert marker.read_text().strip() == "ran"
     assert record.health_ok
+
+
+def _gone_or_zombie(pid: int, within: float) -> bool:
+    deadline = time.monotonic() + within
+    while True:
+        try:
+            with open(f"/proc/{pid}/stat") as handle:
+                stat = handle.read()
+        except OSError:
+            return True
+        if stat[stat.rindex(")") + 2] == "Z":
+            return True
+        if time.monotonic() >= deadline:
+            return False
+        time.sleep(0.02)
+
+
+def _stop(pid: int):
+    try:
+        os.kill(pid, signal.SIGKILL)
+    except OSError:
+        pass
+
+
+def test_setup_timeout_stops_the_command_group(mini_collection, config, tmp_path, flask_l0):
+    pid_file = tmp_path / "child.pid"
+    task = TaskSpec(
+        id=flask_l0.id, kind="generation", framework=flask_l0.framework,
+        constraints=flask_l0.constraints, level=0, prompt="p",
+        setup_commands=[f"sleep 37 & echo $! > {pid_file}; wait"],
+    )
+    config.setup_timeout = 0.5
+    diff = files_to_diff({"run.sh": ("#!/bin/sh\nexit 7\n", True)})
+    record = evaluate_phase(task, diff, mini_collection, config=config)
+    child = int(pid_file.read_text())
+    try:
+        assert "timed out" in record.logs
+        assert _gone_or_zombie(child, within=1.0)
+    finally:
+        _stop(child)
+
+
+def test_provider_timeout_stops_the_command_group(config, tmp_path, flask_l0):
+    pid_file = tmp_path / "child.pid"
+    config.provider_timeout = 0.5
+    provider = PatchProvider("external_command", f"sleep 37 & echo $! > {pid_file}; wait")
+    with pytest.raises(subprocess.TimeoutExpired):
+        build_phase(flask_l0, provider, trial=0, config=config)
+    child = int(pid_file.read_text())
+    try:
+        assert _gone_or_zombie(child, within=1.0)
+    finally:
+        _stop(child)
 
 
 def test_evaluate_crashing_run_script(mini_collection, config, flask_l0):
@@ -708,15 +762,15 @@ def test_feature_ablation_failure_is_task_setup_error(tmp_path, config):
 def test_feature_evaluate_applies_ablation_then_patch(tmp_path, mini_collection, config):
     upstream, commit, ablation = make_feature_fixture(tmp_path)
     task = make_feature_task(str(upstream), commit, ablation)
-    # agent patch: restore farewell() and add a run script that proves the
-    # workspace saw ablation-then-patch layering
+    # agent patch: restore farewell() and add a run script whose exit code
+    # proves the workspace saw ablation-then-patch layering
     agent_patch = files_to_diff(
         {
             "run.sh": (
                 "#!/bin/sh\n"
-                "python3 -c \"from lib.feature import greet, farewell; print(greet(), farewell())\""
-                " > outcome.txt 2>&1\n"
-                "exec python3 -m http.server ${PORT}\n",
+                "grep -q farewell lib/feature.py && exit 5\n"
+                "test -e lib/feature_restored.py || exit 5\n"
+                "exit 6\n",
                 True,
             ),
             "lib/feature_restored.py": ("def farewell():\n    return 'bye'\n", False),
@@ -726,3 +780,5 @@ def test_feature_evaluate_applies_ablation_then_patch(tmp_path, mini_collection,
     record = evaluate_phase(task, agent_patch, mini_collection, config=config)
     assert record.patch_applied is True
     assert record.server_started is True
+    assert "server exited with code 6" in record.logs
+    assert record.wall_time < 1.0

@@ -332,6 +332,24 @@ def test_poll_health_never_starts_respects_bounds():
     assert elapsed < 5
 
 
+def test_poll_health_gives_up_on_a_server_that_never_answers():
+    # the kernel completes connections to a listening socket nobody accepts
+    # from, so each probe waits for a reply that never comes
+    with socket.socket() as silent:
+        silent.bind(("127.0.0.1", 0))
+        silent.listen(8)
+        port = silent.getsockname()[1]
+        start = time.monotonic()
+        ok = poll_health(
+            f"http://127.0.0.1:{port}/api", interval=0.2, max_attempts=5,
+            total_timeout=10, request_timeout=1.0,
+        )
+        elapsed = time.monotonic() - start
+    assert ok is False
+    # give-up point: (5 - 1) * 0.2 s after the start, whatever the probes' timeout
+    assert (5 - 1) * 0.2 <= elapsed < 1.2
+
+
 def test_poll_health_server_starts_late():
     handle = ServerHandle(port=0)
     port = handle.port
