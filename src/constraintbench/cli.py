@@ -16,7 +16,7 @@ from .config import load_config
 from .diffs import apply_exclusions, parse_patch
 from .errors import ConstraintBenchError
 from .harness import HarnessConfig, PatchProvider, run_campaign
-from .refserver import server as refserver_cli
+from .refserver.server import feature_groups, serve
 from .suite import load_collection, run_suite
 from .taxonomy import aggregate_taxonomy, load_labels, validate_judge
 from .verifiers import LayerAliasMap, structural_compliance
@@ -29,6 +29,20 @@ class _Parser(argparse.ArgumentParser):
         self.print_usage(sys.stderr)
         print(f"{self.prog}: error: {message}", file=sys.stderr)
         raise SystemExit(USAGE_ERROR)
+
+
+def _levels(raw: str) -> set[int]:
+    levels = {"L" + piece.strip().lstrip("Ll") for piece in raw.split(",")}
+    if not levels <= set(report.LEVELS):
+        raise argparse.ArgumentTypeError(f"levels must be among {', '.join(report.LEVELS)}")
+    return {report.LEVELS.index(level) for level in levels}
+
+
+def _trials(raw: str) -> int:
+    trials = int(raw)
+    if trials < 1:
+        raise argparse.ArgumentTypeError(f"must be at least 1, got {trials}")
+    return trials
 
 
 def _shipped_collection() -> str:
@@ -57,8 +71,7 @@ def cmd_compose(args) -> int:
         frameworks = composer.parse_framework_names(args.frameworks)
     tasks = composer.enumerate_variants(frameworks)
     if args.levels:
-        wanted = {int(level.strip().lstrip("Ll")) for level in args.levels.split(",")}
-        tasks = [task for task in tasks if task.level in wanted]
+        tasks = [task for task in tasks if task.level in args.levels]
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     for task in tasks:
@@ -112,12 +125,7 @@ def cmd_run_suite(args) -> int:
 
 
 def cmd_reference_server(args) -> int:
-    refserver_argv = ["--port", str(args.port), "--host", args.host]
-    if args.disable:
-        refserver_argv += ["--disable", args.disable]
-    if args.reset_token:
-        refserver_argv += ["--reset-token", args.reset_token]
-    refserver_cli.main(refserver_argv)
+    serve(args.port, disabled=args.disable, reset_token=args.reset_token or None, host=args.host)
     return 0
 
 
@@ -191,7 +199,8 @@ def build_parser() -> _Parser:
 
     p = sub.add_parser("compose", help="enumerate task variants and write task JSON files")
     p.add_argument("--frameworks", default="all", help="comma list or 'all'")
-    p.add_argument("--levels", default=None, help="optional level filter, e.g. L0,L3")
+    p.add_argument("--levels", type=_levels, default=None,
+                   help="optional level filter, e.g. L0,L3")
     p.add_argument("--out", required=True)
     p.set_defaults(handler=cmd_compose)
 
@@ -218,14 +227,14 @@ def build_parser() -> _Parser:
     p = sub.add_parser("reference-server", help="run the in-memory reference server")
     p.add_argument("--port", type=int, default=8080)
     p.add_argument("--host", default="0.0.0.0")
-    p.add_argument("--disable", default="")
+    p.add_argument("--disable", type=feature_groups, default="")
     p.add_argument("--reset-token", default=None)
     p.set_defaults(handler=cmd_reference_server)
 
     p = sub.add_parser("evaluate", help="run the build/evaluate pipeline over tasks")
     p.add_argument("--tasks", required=True, help="task JSON file or directory")
     p.add_argument("--provider", required=True, help="recorded:<dir> or command:<cmdline>")
-    p.add_argument("--trials", type=int, default=3)
+    p.add_argument("--trials", type=_trials, default=3)
     p.add_argument("--collection", default=None)
     p.add_argument("--out", required=True)
     p.add_argument("--config", default=None)
@@ -236,10 +245,7 @@ def build_parser() -> _Parser:
     p = sub.add_parser("metrics", help="compute metric tables from results")
     p.add_argument("--runs", dest="results", metavar="RUNS", required=True)
     p.add_argument("--report", dest="out", metavar="REPORT", required=True)
-    p.set_defaults(
-        handler=cmd_report, labels=None,
-        tables="a_pct_by_level,pass_at_1_by_level,marginal_effects,raw_vs_enforced",
-    )
+    p.set_defaults(handler=cmd_report, labels=None, tables=",".join(report.METRICS_TABLES))
 
     p = sub.add_parser("taxonomy", help="failure-label aggregation and judge validation")
     taxonomy_sub = p.add_subparsers(dest="taxonomy_command", required=True)

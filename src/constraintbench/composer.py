@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import json
 import re
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field, fields
 from importlib import resources
 
 from .errors import PromptRenderError, TaskSchemaError
@@ -96,11 +96,7 @@ class TaskSpec:
             "framework": self.framework.name,
             "runtime": self.framework.runtime,
             "port": self.framework.port,
-            "constraints": {
-                "architecture": self.constraints.architecture,
-                "database": self.constraints.database,
-                "orm": self.constraints.orm,
-            },
+            "constraints": asdict(self.constraints),
             "level": f"L{self.level}",
             "prompt": self.prompt,
             "setup_commands": list(self.setup_commands),
@@ -112,6 +108,23 @@ class TaskSpec:
 
     def to_json(self) -> str:
         return json.dumps(self.to_dict(), indent=2, sort_keys=True)
+
+    def summary(self) -> dict:
+        """The part of ``to_dict()`` a RunRecord keeps as its ``task``."""
+        return {key: value for key, value in self.to_dict().items() if key in _SUMMARY_KEYS}
+
+    @classmethod
+    def from_summary(cls, summary: dict) -> "TaskSpec":
+        """A prompt-less task from ``summary()``: enough to group and pair runs."""
+        constraints = ConstraintSet(**summary["constraints"])
+        return cls(
+            id=summary["id"], kind=summary.get("kind", "generation"),
+            framework=FRAMEWORKS[summary["framework"]], constraints=constraints,
+            level=int(summary["level"].lstrip("L")), prompt="",
+        )
+
+
+_SUMMARY_KEYS = ("id", "kind", "framework", "runtime", "constraints", "level")
 
 
 def _asset(name: str) -> str:
@@ -139,22 +152,8 @@ class PromptTemplate:
 
     @classmethod
     def load(cls) -> "PromptTemplate":
-        def frag(name):
-            return _asset(f"templates/{name}.txt")
-
-        return cls(
-            spec_header=frag("spec_header"),
-            requirements_block=frag("requirements_block"),
-            requirement_architecture_line=frag("requirement_architecture_line"),
-            requirement_database_line=frag("requirement_database_line"),
-            orm_sentence=frag("orm_sentence"),
-            architecture_block=frag("architecture_block"),
-            sqlite_block=frag("sqlite_block"),
-            postgres_block=frag("postgres_block"),
-            mandatory_files_block=frag("mandatory_files_block"),
-            server_config_block=frag("server_config_block"),
-            evaluation_pipeline_block=frag("evaluation_pipeline_block"),
-        )
+        """Each field from the fragment file of the same name."""
+        return cls(**{f.name: _asset(f"templates/{f.name}.txt") for f in fields(cls)})
 
 
 _PLACEHOLDER_RE = re.compile(r"\{([a-z_]+)\}")

@@ -1,29 +1,24 @@
 """Flat key=value configuration file for harness settings.
 
-Understood keys: port_pool (range ``8080-8099`` or comma list), workers,
-request_timeout, health_interval, health_max_attempts, health_total_timeout,
-setup_timeout, provider_timeout, shutdown_grace, pg_url, workspace_root,
-aliases (path to a layer-alias JSON). ``#`` comments and ``[section]``
-headers are tolerated and ignored.
+The keys are the fields of ``HarnessConfig``: port_pool (range
+``8080-8099`` or comma list), aliases (path to a layer-alias JSON), pg_url,
+workspace_root, and the int and float fields, read as their defaults'
+types. ``#`` comments and ``[section]`` headers are tolerated and ignored.
 """
 
 from __future__ import annotations
 
+from dataclasses import fields
 from pathlib import Path
 
 from .errors import TaskSetupError
 from .harness import HarnessConfig
 from .verifiers import LayerAliasMap
 
-_FLOAT_KEYS = {
-    "request_timeout",
-    "health_interval",
-    "health_total_timeout",
-    "setup_timeout",
-    "provider_timeout",
-    "shutdown_grace",
+# key -> int or float, for every HarnessConfig field with such a default
+_NUMBER_TYPES = {
+    f.name: type(f.default) for f in fields(HarnessConfig) if type(f.default) in (int, float)
 }
-_INT_KEYS = {"workers", "health_max_attempts"}
 
 
 def _parse_ports(raw: str) -> list[int]:
@@ -55,10 +50,8 @@ def parse_config_text(text: str, base_dir: Path | None = None) -> HarnessConfig:
         value = value.strip().strip("\"'")
         if key == "port_pool":
             config.port_pool = _parse_ports(value)
-        elif key in _INT_KEYS:
-            setattr(config, key, int(value))
-        elif key in _FLOAT_KEYS:
-            setattr(config, key, float(value))
+        elif key in _NUMBER_TYPES:
+            setattr(config, key, _NUMBER_TYPES[key](value))
         elif key == "pg_url":
             config.pg_url = value or None
         elif key == "workspace_root":

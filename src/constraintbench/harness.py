@@ -17,6 +17,7 @@ import os
 import queue
 import shutil
 import signal
+import socket
 import subprocess
 import tempfile
 import time
@@ -33,6 +34,7 @@ from .verifiers import LayerAliasMap, structural_compliance
 logger = logging.getLogger(__name__)
 
 GROUP_EXIT_POLL_S = 0.005  # teardown's check for killed group members to be gone
+PORT_PROBE_TIMEOUT_S = 0.5  # the pre-launch check that a leased port is free
 
 
 @dataclass
@@ -111,12 +113,12 @@ class RunRecord:
     task_id: str
     trial: int
     diff: str  # the evaluated diff minus excluded sections; verdicts re-derive from it
-    patch_applied: bool
-    server_started: bool
-    health_ok: bool
     suite: SuiteResult
     verifier_reports: list
     structurally_compliant: bool
+    patch_applied: bool = False
+    server_started: bool = False
+    health_ok: bool = False
     logs: str = ""
     token_usage: dict | None = None
     wall_time: float = 0.0
@@ -126,12 +128,11 @@ class RunRecord:
     labels: dict = field(default_factory=dict)
 
     @classmethod
-    def failed(
+    def of(
         cls,
         task: TaskSpec,
         trial: int,
-        collection: TestCollection,
-        detail: str,
+        suite: SuiteResult,
         logs: str,
         *,
         diff: str = "",
@@ -139,22 +140,19 @@ class RunRecord:
         labels: dict | None = None,
         **fields,
     ) -> "RunRecord":
-        """A run whose suite never ran: every assertion failed with
-        ``detail``. ``verdict`` is ``structural_compliance``'s answer, when
-        the patch got that far."""
+        """The record of one run of ``task``. ``verdict`` is
+        ``structural_compliance``'s answer, when the patch got that far;
+        ``fields`` holds the stages the run reached and its other facts."""
         compliant, reports = verdict or (False, [])
         return cls(
             task_id=task.id,
             trial=trial,
             diff=diff,
-            patch_applied=False,
-            server_started=False,
-            health_ok=False,
-            suite=unreachable_result(collection, detail),
+            suite=suite,
             verifier_reports=reports,
             structurally_compliant=compliant,
             logs=logs,
-            task_summary=_task_summary(task),
+            task_summary=task.summary(),
             labels=dict(labels or {}),
             **fields,
         )
@@ -196,21 +194,6 @@ class RunRecord:
 
     def to_json(self) -> str:
         return json.dumps(self.to_dict(), indent=2, sort_keys=True)
-
-
-def _task_summary(task: TaskSpec) -> dict:
-    return {
-        "id": task.id,
-        "kind": task.kind,
-        "framework": task.framework.name,
-        "runtime": task.framework.runtime,
-        "level": f"L{task.level}",
-        "constraints": {
-            "architecture": task.constraints.architecture,
-            "database": task.constraints.database,
-            "orm": task.constraints.orm,
-        },
-    }
 
 
 def _git(args: list[str], cwd: Path, check: bool = True) -> subprocess.CompletedProcess:
@@ -267,6 +250,15 @@ def _commit_baseline(workspace: Workspace) -> str:
     _git(["add", "-A"], root)
     _git(["commit", "-q", "--allow-empty", "-m", "baseline"], root)
     return _git(["rev-parse", "HEAD"], root).stdout.strip()
+
+
+def _port_in_use(port: int) -> bool:
+    """Whether something already accepts connections on ``port``."""
+    try:
+        socket.create_connection(("127.0.0.1", port), timeout=PORT_PROBE_TIMEOUT_S).close()
+    except OSError:
+        return False
+    return True
 
 
 def _run_env(workspace: Workspace, config: HarnessConfig) -> dict:
@@ -436,27 +428,28 @@ def evaluate_phase(
     compliant, reports = structural_compliance(task, patch_doc, config.aliases)
     del patch_doc  # not kept: the verdicts re-derive from ``diff``
 
-    def failed(detail: str, logs: str, **fields) -> RunRecord:
-        return RunRecord.failed(
-            task, trial, collection, detail, logs, diff=diff, verdict=(compliant, reports),
-            labels=labels, token_usage=token_usage,
+    def record(logs: str, not_run: str, suite: SuiteResult | None = None, **fields):
+        return RunRecord.of(
+            task, trial, suite or unreachable_result(collection, not_run), logs,
+            diff=diff, verdict=(compliant, reports), labels=labels, token_usage=token_usage,
             wall_time=time.monotonic() - started_at, **fields,
         )
 
     if task.constraints.database == "postgres" and not config.pg_url:
-        return failed(
-            "environment-skipped: no PostgreSQL target configured (set PG_URL)",
+        return record(
             "environment-skipped: postgres task without PG_URL",
+            "environment-skipped: no PostgreSQL target configured (set PG_URL)",
             environment_skipped=True,
         )
 
     try:
         workspace = _make_workspace(task, port=port or config.port_pool[0], config=config)
     except TaskSetupError as exc:
-        return failed("task setup error", f"task setup error: {exc}", setup_error=True)
+        return record(f"task setup error: {exc}", "task setup error", setup_error=True)
 
-    process = None
-    patch_applied = server_started = health_ok = False
+    process = suite = None
+    not_run = "server unreachable"  # why ``suite`` is None, if it stays None
+    patch_applied = server_started = health_ok = setup_error = False
     try:
         if diff.strip():
             patch_file = workspace.meta / "changes.diff"
@@ -472,7 +465,9 @@ def evaluate_phase(
             log_parts.append("empty diff: nothing to apply")
 
         env = _run_env(workspace, config)
-        if patch_applied:
+        if not patch_applied:
+            not_run = "patch failed to apply"
+        else:
             for command in task.setup_commands:
                 try:
                     completed = _run_command(
@@ -485,8 +480,14 @@ def evaluate_phase(
                 except subprocess.TimeoutExpired:
                     log_parts.append(f"setup `{command}` timed out")
 
-            run_script = workspace.root / "run.sh"
-            if run_script.exists():
+            if not (workspace.root / "run.sh").exists():
+                log_parts.append("no run.sh in patched tree; server not started")
+            elif _port_in_use(workspace.port):
+                # whatever answers there is not this run's server
+                log_parts.append(f"task setup error: port {workspace.port} already in use")
+                not_run = "task setup error"
+                setup_error = True
+            else:
                 with open(workspace.server_log, "wb") as log_handle:
                     process = subprocess.Popen(
                         ["bash", "run.sh"], cwd=workspace.root, env=env,
@@ -502,22 +503,15 @@ def evaluate_phase(
                     total_timeout=config.health_total_timeout,
                     alive=lambda: _group_alive(process),
                 )
-                if not health_ok and not _group_alive(process):
-                    log_parts.append(
-                        f"server exited with code {process.returncode} "
-                        "before answering health-check"
-                    )
                 if health_ok:
                     suite = run_suite(
                         collection, base_url, request_timeout=config.request_timeout
                     )
-                else:
-                    suite = unreachable_result(collection, "server unreachable")
-            else:
-                log_parts.append("no run.sh in patched tree; server not started")
-                suite = unreachable_result(collection, "server unreachable")
-        else:
-            suite = unreachable_result(collection, "patch failed to apply")
+                elif not _group_alive(process):
+                    log_parts.append(
+                        f"server exited with code {process.returncode} "
+                        "before answering health-check"
+                    )
     finally:
         if process is not None:
             _terminate(process, config.shutdown_grace)
@@ -528,21 +522,9 @@ def evaluate_phase(
             )
         workspace.destroy()
 
-    return RunRecord(
-        task_id=task.id,
-        trial=trial,
-        diff=diff,
-        patch_applied=patch_applied,
-        server_started=server_started,
-        health_ok=health_ok,
-        suite=suite,
-        verifier_reports=reports,
-        structurally_compliant=compliant,
-        logs="\n".join(log_parts),
-        token_usage=token_usage,
-        wall_time=time.monotonic() - started_at,
-        task_summary=_task_summary(task),
-        labels=dict(labels or {}),
+    return record(
+        "\n".join(log_parts), not_run, suite, patch_applied=patch_applied,
+        server_started=server_started, health_ok=health_ok, setup_error=setup_error,
     )
 
 
@@ -559,8 +541,9 @@ def run_one(
     try:
         build = build_phase(task, provider, trial=trial, config=config, port=port)
     except TaskSetupError as exc:
-        return RunRecord.failed(
-            task, trial, collection, "task setup error", f"task setup error: {exc}",
+        return RunRecord.of(
+            task, trial, unreachable_result(collection, "task setup error"),
+            f"task setup error: {exc}",
             verdict=structural_compliance(task, PatchDocument(), config.aliases),
             labels=labels, setup_error=True,
         )
@@ -609,9 +592,9 @@ def run_campaign(
             )
         except Exception as exc:  # run containment: campaign must survive anything
             logger.exception("run crashed: %s trial %s", task.id, trial)
-            records[index] = RunRecord.failed(
-                task, trial, collection, "internal error", f"internal error: {exc!r}",
-                labels=labels,
+            records[index] = RunRecord.of(
+                task, trial, unreachable_result(collection, "internal error"),
+                f"internal error: {exc!r}", labels=labels,
             )
         finally:
             ports.put(port)

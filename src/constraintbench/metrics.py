@@ -63,12 +63,6 @@ def pass_at_k(n: int, c: int, k: int) -> float:
     return float(1 - ratio)
 
 
-def _task_pct(scores: list[RunScore], enforced: bool) -> float:
-    return 100.0 * _mean(
-        (s.enforced_fraction if enforced else s.raw_fraction) for s in scores
-    )
-
-
 def _pair_key(constraints: ConstraintSet, drop: str) -> tuple:
     """Constraint coordinates with one axis removed, for matched-pair grouping."""
     if drop == "arch":
@@ -120,9 +114,8 @@ def marginal_effect(
     scores: list[RunScore],
     tasks: list[TaskSpec],
     constraint: str,
-    enforced: bool = True,
 ) -> tuple[float, float, int]:
-    """Matched-pair marginal effect of one constraint on the assertion pass rate.
+    """Matched-pair marginal effect of one constraint on the enforced assertion pass rate.
 
     Returns (mean delta in percentage points, stderr of the mean, pair count),
     pooling one delta per (config, pair) over all configurations.
@@ -138,9 +131,7 @@ def marginal_effect(
             without_scores = by_key.get((config, without_id))
             if not with_scores or not without_scores:
                 continue
-            deltas.append(
-                _task_pct(with_scores, enforced) - _task_pct(without_scores, enforced)
-            )
+            deltas.append(assert_pct(with_scores) - assert_pct(without_scores))
     if not deltas:
         raise MetricError(f"no matched pairs with scores for constraint {constraint!r}")
     mean = _mean(deltas)

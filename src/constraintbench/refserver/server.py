@@ -13,6 +13,8 @@ from http.server import BaseHTTPRequestHandler, HTTPServer
 from .repository import Store
 from .routes import FEATURE_GROUPS, dispatch
 
+HANDLE_POLL_S = 0.01  # how often a ServerHandle's thread looks for stop()
+
 
 def build_server(port, disabled=(), reset_token=None, host="127.0.0.1"):
     store = Store()
@@ -59,7 +61,9 @@ class ServerHandle:
     def __init__(self, port, disabled=(), reset_token=None, host="127.0.0.1"):
         self.server = build_server(port, disabled=disabled, reset_token=reset_token, host=host)
         self.port = self.server.server_address[1]
-        self._thread = threading.Thread(target=self.server.serve_forever, daemon=True)
+        self._thread = threading.Thread(
+            target=self.server.serve_forever, args=(HANDLE_POLL_S,), daemon=True
+        )
 
     @property
     def base_url(self):
@@ -84,6 +88,15 @@ class ServerHandle:
         self.stop()
 
 
+def feature_groups(raw):
+    """argparse type of ``--disable``: a comma list of FEATURE_GROUPS."""
+    groups = [g.strip() for g in raw.split(",") if g.strip()]
+    unknown = [g for g in groups if g not in FEATURE_GROUPS]
+    if unknown:
+        raise argparse.ArgumentTypeError("unknown feature group(s): %s" % ", ".join(unknown))
+    return groups
+
+
 def serve(port, disabled=(), reset_token=None, host="0.0.0.0"):
     """Run until interrupted. Returns only on shutdown."""
     server = build_server(port, disabled=disabled, reset_token=reset_token, host=host)
@@ -102,16 +115,13 @@ def main(argv=None):
     parser.add_argument("--host", default="0.0.0.0")
     parser.add_argument(
         "--disable",
+        type=feature_groups,
         default="",
         help="comma-separated feature groups to disable: " + ",".join(FEATURE_GROUPS),
     )
     parser.add_argument("--reset-token", default=None)
     args = parser.parse_args(argv)
-    disabled = [g.strip() for g in args.disable.split(",") if g.strip()]
-    unknown = [g for g in disabled if g not in FEATURE_GROUPS]
-    if unknown:
-        parser.error("unknown feature group(s): %s" % ", ".join(unknown))
-    serve(args.port, disabled=disabled, reset_token=args.reset_token, host=args.host)
+    serve(args.port, disabled=args.disable, reset_token=args.reset_token, host=args.host)
 
 
 if __name__ == "__main__":

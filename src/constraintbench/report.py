@@ -12,23 +12,13 @@ import json
 from dataclasses import dataclass, field
 from pathlib import Path
 
-from .composer import FRAMEWORKS, ConstraintSet, TaskSpec
+from .composer import TaskSpec
 from .errors import MetricError
 from .harness import load_campaign
 from .metrics import RunScore, assert_pct, marginal_effect, pass_at_k
 from .taxonomy import aggregate_taxonomy, load_labels
 
-TABLE_NAMES = (
-    "a_pct_by_level",
-    "pass_at_1_by_level",
-    "a_pct_by_framework",
-    "marginal_effects",
-    "raw_vs_enforced",
-    "taxonomy",
-)
-
 LEVELS = ("L0", "L1", "L2", "L3")
-_CONSTRAINT_ROWS = ("arch", "sqlite", "pg", "sqlalchemy", "sequelize")
 _CONSTRAINT_TITLES = {
     "arch": "Clean architecture",
     "sqlite": "SQLite",
@@ -77,9 +67,7 @@ def _fmt(value: float | None) -> str:
 @dataclass
 class ScoredCampaign:
     scores: list[RunScore]
-    tasks: list[TaskSpec]
-    levels: dict[str, str]       # task_id -> "L0".."L3"
-    frameworks: dict[str, str]   # task_id -> framework name
+    tasks: dict[str, TaskSpec]  # task_id -> its task, in id order
     configs: list[tuple[str, str]]  # (agent, model) in deterministic order
     skipped: int = 0
 
@@ -87,44 +75,22 @@ class ScoredCampaign:
         return [
             s
             for s in self.scores
-            if self.levels[s.task_id] == level and (config is None or s.config == config)
+            if f"L{self.tasks[s.task_id].level}" == level and (config is None or s.config == config)
         ]
-
-
-def _rebuild_task(summary: dict) -> TaskSpec:
-    framework = FRAMEWORKS[summary["framework"]]
-    constraints = ConstraintSet(
-        architecture=summary["constraints"]["architecture"],
-        database=summary["constraints"]["database"],
-        orm=summary["constraints"]["orm"],
-    )
-    return TaskSpec(
-        id=summary["id"],
-        kind=summary.get("kind", "generation"),
-        framework=framework,
-        constraints=constraints,
-        level=constraints.level,
-        prompt="",
-    )
 
 
 def score_campaign(records: list[dict]) -> ScoredCampaign:
     """RunRecord dicts -> RunScores plus task metadata for pairing/grouping."""
     scores = []
     tasks: dict[str, TaskSpec] = {}
-    levels: dict[str, str] = {}
-    frameworks: dict[str, str] = {}
     configs = set()
     skipped = 0
     for record in records:
         if record.get("environment_skipped"):
             skipped += 1
             continue
-        summary = record["task"]
-        task = _rebuild_task(summary)
+        task = TaskSpec.from_summary(record["task"])
         tasks.setdefault(task.id, task)
-        levels[task.id] = summary["level"]
-        frameworks[task.id] = summary["framework"]
         labels = record.get("labels", {})
         config = f"{labels.get('agent', 'provider')}|{labels.get('model', 'recorded')}"
         configs.add(config)
@@ -142,9 +108,7 @@ def score_campaign(records: list[dict]) -> ScoredCampaign:
         )
     return ScoredCampaign(
         scores=scores,
-        tasks=sorted(tasks.values(), key=lambda t: t.id),
-        levels=levels,
-        frameworks=frameworks,
+        tasks=dict(sorted(tasks.items())),
         configs=sorted(tuple(c.split("|", 1)) for c in configs),
         skipped=skipped,
     )
@@ -190,7 +154,8 @@ def a_pct_by_framework(campaign: ScoredCampaign) -> Table:
     config_keys = [_config_key(a, m) for a, m in campaign.configs]
     headers = [f"{a}/{m}" for a, m in campaign.configs]
     table = Table("a_pct_by_framework", ["framework", *headers, "avg"])
-    frameworks = sorted({campaign.frameworks[s.task_id] for s in campaign.scores})
+    framework_of = {task.id: task.framework.name for task in campaign.tasks.values()}
+    frameworks = sorted({framework_of[s.task_id] for s in campaign.scores})
     cells: dict[str, list[float | None]] = {}
     for framework in frameworks:
         row_values: list[float | None] = []
@@ -198,7 +163,7 @@ def a_pct_by_framework(campaign: ScoredCampaign) -> Table:
             runs = [
                 s
                 for s in campaign.scores
-                if campaign.frameworks[s.task_id] == framework and s.config == key
+                if framework_of[s.task_id] == framework and s.config == key
             ]
             row_values.append(assert_pct(runs) if runs else None)
         cells[framework] = row_values
@@ -217,17 +182,15 @@ def a_pct_by_framework(campaign: ScoredCampaign) -> Table:
 
 def marginal_effects(campaign: ScoredCampaign) -> Table:
     table = Table("marginal_effects", ["constraint", "mean_delta_pp", "stderr_pp", "pairs"])
-    for constraint in _CONSTRAINT_ROWS:
+    for constraint, title in _CONSTRAINT_TITLES.items():
         try:
             mean, stderr, count = marginal_effect(
-                campaign.scores, campaign.tasks, constraint
+                campaign.scores, list(campaign.tasks.values()), constraint
             )
         except MetricError:
-            table.rows.append([_CONSTRAINT_TITLES[constraint], "no matched pairs", "-", "0"])
+            table.rows.append([title, "no matched pairs", "-", "0"])
             continue
-        table.rows.append(
-            [_CONSTRAINT_TITLES[constraint], _fmt(mean), _fmt(stderr), str(count)]
-        )
+        table.rows.append([title, _fmt(mean), _fmt(stderr), str(count)])
     return table
 
 
@@ -263,32 +226,36 @@ def taxonomy_table(labels_path) -> Table:
     return table
 
 
+# name -> builder; taxonomy's reads failure labels, the others a ScoredCampaign
+TABLES = {
+    "a_pct_by_level": a_pct_by_level,
+    "pass_at_1_by_level": pass_at_1_by_level,
+    "a_pct_by_framework": a_pct_by_framework,
+    "marginal_effects": marginal_effects,
+    "raw_vs_enforced": raw_vs_enforced,
+    "taxonomy": taxonomy_table,
+}
+TABLE_NAMES = tuple(TABLES)
+# what ``constraintbench metrics`` writes
+METRICS_TABLES = ("a_pct_by_level", "pass_at_1_by_level", "marginal_effects", "raw_vs_enforced")
+
+
 def build_report(
     results_dir,
     tables: list[str] | None = None,
     labels_path=None,
 ) -> dict[str, Table]:
-    """Assemble the selected tables from a results directory."""
+    """Assemble the selected tables (default: all but taxonomy) from a results directory."""
     selected = list(tables) if tables else [t for t in TABLE_NAMES if t != "taxonomy"]
-    unknown = [t for t in selected if t not in TABLE_NAMES]
+    unknown = [t for t in selected if t not in TABLES]
     if unknown:
         raise MetricError(f"unknown table(s): {', '.join(unknown)}")
     campaign = score_campaign(load_campaign(results_dir))
     built: dict[str, Table] = {}
     for name in selected:
-        if name == "a_pct_by_level":
-            built[name] = a_pct_by_level(campaign)
-        elif name == "pass_at_1_by_level":
-            built[name] = pass_at_1_by_level(campaign)
-        elif name == "a_pct_by_framework":
-            built[name] = a_pct_by_framework(campaign)
-        elif name == "marginal_effects":
-            built[name] = marginal_effects(campaign)
-        elif name == "raw_vs_enforced":
-            built[name] = raw_vs_enforced(campaign)
-        elif name == "taxonomy":
-            if labels_path is None:
-                continue
+        if name != "taxonomy":
+            built[name] = TABLES[name](campaign)
+        elif labels_path is not None:
             built[name] = taxonomy_table(labels_path)
     return built
 

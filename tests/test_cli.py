@@ -2,6 +2,8 @@ import json
 import subprocess
 import sys
 
+import pytest
+
 from constraintbench.cli import main
 from constraintbench.golden import golden_patch, write_recorded_tree
 from constraintbench.refserver import ServerHandle
@@ -31,6 +33,29 @@ def test_compose_framework_and_level_filters(tmp_path, capsys):
     files = sorted(p.name for p in out.glob("*.json"))
     assert len(files) == 4
     assert all("clean_architecture" in name for name in files)
+
+
+@pytest.mark.parametrize("levels", ["foo", "L0,L7"])
+def test_compose_rejects_a_level_outside_l0_to_l3(tmp_path, capsys, levels):
+    assert main(["compose", "--levels", levels, "--out", str(tmp_path / "t")]) == 1
+    assert "argument --levels" in capsys.readouterr().err
+    assert not (tmp_path / "t").exists()
+
+
+def test_evaluate_rejects_zero_trials(tmp_path, capsys):
+    tasks = tmp_path / "tasks"
+    assert main(["compose", "--frameworks", "flask", "--levels", "L0", "--out", str(tasks)]) == 0
+    assert main(["evaluate", "--tasks", str(tasks), "--provider", f"recorded:{tmp_path}",
+                 "--out", str(tmp_path / "runs"), "--trials", "0"]) == 1
+    assert "argument --trials" in capsys.readouterr().err
+    assert not (tmp_path / "runs").exists()
+
+
+def test_reference_server_rejects_an_unknown_feature_group(capsys):
+    assert main(["reference-server", "--port", "0", "--disable", "comments,bogus"]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("usage: constraintbench reference-server")
+    assert "unknown feature group(s): bogus" in err
 
 
 def test_compose_unknown_framework_exit_2(tmp_path, capsys):

@@ -10,6 +10,7 @@ from constraintbench.composer import (
     FRAMEWORKS,
     ConstraintSet,
     PromptTemplate,
+    TaskSpec,
     enumerate_variants,
     load_feature_task,
     load_task,
@@ -217,6 +218,20 @@ def test_load_feature_task():
     assert task.kind == "feature"
     assert task.ablation_patch.startswith("diff --git")
     assert task.repo_ref == {"url": "https://example.com/repo.git", "commit": "a" * 40}
+
+
+def test_task_summary_round_trips_for_every_composed_task_and_a_feature_task():
+    feature = load_feature_task(json.dumps(_feature_doc()))
+    for task in enumerate_variants() + [feature]:
+        summary = task.summary()
+        assert summary == {
+            key: value for key, value in task.to_dict().items()
+            if key in ("id", "kind", "framework", "runtime", "constraints", "level")
+        }
+        rebuilt = TaskSpec.from_summary(json.loads(json.dumps(summary)))
+        assert (rebuilt.id, rebuilt.kind, rebuilt.framework, rebuilt.constraints, rebuilt.level) \
+            == (task.id, task.kind, task.framework, task.constraints, task.level)
+    assert TaskSpec.from_summary(feature.summary()).repo_ref is None
 
 
 def test_feature_task_missing_patch_names_field():

@@ -1,4 +1,5 @@
 import json
+from dataclasses import fields
 
 import pytest
 
@@ -68,3 +69,20 @@ def test_pg_url_from_env(monkeypatch):
     assert config.pg_url == "postgresql://env-target/conduit"
     monkeypatch.delenv("PG_URL")
     assert HarnessConfig.from_env().pg_url is None
+
+
+NUMBER_FIELDS = [f.name for f in fields(HarnessConfig) if type(f.default) in (int, float)]
+
+
+def test_number_fields_are_the_documented_keys():
+    assert set(NUMBER_FIELDS) == {
+        "workers", "request_timeout", "health_interval", "health_max_attempts",
+        "health_total_timeout", "setup_timeout", "provider_timeout", "shutdown_grace",
+    }
+
+
+@pytest.mark.parametrize("name", NUMBER_FIELDS)
+def test_every_number_field_can_be_set(name):
+    kind = type(getattr(HarnessConfig(), name))
+    value = getattr(parse_config_text(f"[harness]\n{name} = 7\n"), name)
+    assert value == 7 and type(value) is kind

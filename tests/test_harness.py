@@ -22,6 +22,7 @@ from constraintbench.harness import (
     load_campaign,
     run_campaign,
 )
+from constraintbench.refserver import ServerHandle
 from constraintbench.suite import SuiteResult, load_collection, poll_health
 from constraintbench.taxonomy import assemble_evidence
 from constraintbench.verifiers import structural_compliance
@@ -289,6 +290,23 @@ def test_evaluate_background_server_scored_and_stopped(mini_collection, config, 
     assert "server exited" not in record.logs
     with pytest.raises(ConnectionRefusedError):
         socket.create_connection(("127.0.0.1", config.port_pool[0]), timeout=2).close()
+
+
+def test_evaluate_does_not_score_a_stray_server_on_its_port(
+    mini_collection, config, flask_l0, tmp_path
+):
+    marker = tmp_path / "launched"
+    diff = files_to_diff({"run.sh": (f"#!/bin/sh\ntouch '{marker}'\nsleep 3\n", True)})
+    with ServerHandle(port=0) as stray:  # answers the health check and the suite
+        record = evaluate_phase(flask_l0, diff, mini_collection, config=config, port=stray.port)
+    assert not marker.exists()  # run.sh never launched
+    assert record.full_pass is False
+    assert record.suite.assertions_passed == 0
+    assert record.patch_applied is True
+    assert record.server_started is False and record.health_ok is False
+    assert record.setup_error is True
+    assert record.to_dict()["suite"]["not_run"] == "task setup error"
+    assert f"task setup error: port {stray.port} already in use" in record.logs.splitlines()
 
 
 def test_evaluate_invalid_diff_recorded_not_crashed(mini_collection, config, flask_l0):

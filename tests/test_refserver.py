@@ -1,8 +1,9 @@
 import json
+import time
 
 import pytest
 
-from constraintbench.refserver import Store, dispatch
+from constraintbench.refserver import ServerHandle, Store, dispatch
 
 
 def call(store, method, path, body=None, token=None, query="", disabled=(), reset_token=None):
@@ -338,3 +339,10 @@ def test_favorites_count_matches_favoriting_set(store):
     assert article.favorited_by == {"u1", "u2", "u3"}
     status, body = call(store, "GET", f"/api/articles/{slug}")
     assert body["article"]["favoritesCount"] == 3
+
+
+def test_server_handle_stops_promptly():
+    handle = ServerHandle(port=0).start()
+    started = time.monotonic()
+    handle.stop()
+    assert time.monotonic() - started < 0.1

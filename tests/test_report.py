@@ -2,7 +2,9 @@ import pytest
 
 from constraintbench.errors import MetricError, TaskSetupError
 from constraintbench.harness import RunRecord, write_campaign
-from constraintbench.report import build_report, score_campaign, write_tables
+from constraintbench.report import (
+    METRICS_TABLES, TABLE_NAMES, build_report, score_campaign, write_tables,
+)
 from constraintbench.suite import AssertionOutcome, SuiteResult
 from constraintbench.taxonomy import FailureLabel, save_labels
 
@@ -160,3 +162,13 @@ def test_table_text_is_aligned(results_dir):
     table = build_report(results_dir, tables=["a_pct_by_level"])["a_pct_by_level"]
     lines = table.to_text().splitlines()
     assert len({len(line) for line in lines[:2]}) == 1  # header and rule same width
+
+
+def test_default_report_is_every_table_but_taxonomy(results_dir, tmp_path):
+    labels_path = tmp_path / "labels.jsonl"
+    save_labels([FailureLabel("r1", "server_startup_failure")], labels_path)
+    assert list(build_report(results_dir)) == [n for n in TABLE_NAMES if n != "taxonomy"]
+    assert list(build_report(results_dir, labels_path=labels_path)) == [
+        n for n in TABLE_NAMES if n != "taxonomy"
+    ]
+    assert set(METRICS_TABLES) < set(TABLE_NAMES)
