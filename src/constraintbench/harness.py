@@ -108,6 +108,21 @@ class BuildResult:
     token_usage: dict | None = None
 
 
+# How a run ended -> (how many stages it passed: patch applied, server
+# started, health answered; the detail its assertions fail with unless "ok").
+OUTCOMES: dict[str, tuple[int, str | None]] = {
+    "ok": (3, None),
+    "server_exited": (2, "server unreachable"),
+    "health_timeout": (2, "server unreachable"),
+    "no_run_sh": (1, "server unreachable"),
+    "port_in_use": (1, "task setup error"),
+    "apply_failed": (0, "patch failed to apply"),
+    "setup_error": (0, "task setup error"),
+    "env_skipped": (0, "environment-skipped: no PostgreSQL target configured (set PG_URL)"),
+    "internal_error": (0, "internal error"),
+}
+
+
 @dataclass
 class RunRecord:
     task_id: str
@@ -116,14 +131,10 @@ class RunRecord:
     suite: SuiteResult
     verifier_reports: list
     structurally_compliant: bool
-    patch_applied: bool = False
-    server_started: bool = False
-    health_ok: bool = False
+    outcome: str = "ok"  # a key of OUTCOMES
     logs: str = ""
     token_usage: dict | None = None
     wall_time: float = 0.0
-    environment_skipped: bool = False
-    setup_error: bool = False
     task_summary: dict = field(default_factory=dict)
     labels: dict = field(default_factory=dict)
 
@@ -132,30 +143,40 @@ class RunRecord:
         cls,
         task: TaskSpec,
         trial: int,
-        suite: SuiteResult,
+        outcome: str,
         logs: str,
+        collection: TestCollection,
         *,
+        suite: SuiteResult | None = None,
         diff: str = "",
         verdict: tuple[bool, list] | None = None,
         labels: dict | None = None,
         **fields,
     ) -> "RunRecord":
-        """The record of one run of ``task``. ``verdict`` is
-        ``structural_compliance``'s answer, when the patch got that far;
-        ``fields`` holds the stages the run reached and its other facts."""
+        """The record of one run of ``task`` that ended with ``outcome``.
+        ``suite`` is the suite it ran, if any; ``verdict`` is
+        ``structural_compliance``'s answer, when the patch got that far."""
         compliant, reports = verdict or (False, [])
         return cls(
             task_id=task.id,
             trial=trial,
             diff=diff,
-            suite=suite,
+            suite=suite or unreachable_result(collection, OUTCOMES[outcome][1]),
             verifier_reports=reports,
             structurally_compliant=compliant,
+            outcome=outcome,
             logs=logs,
             task_summary=task.summary(),
             labels=dict(labels or {}),
             **fields,
         )
+
+    # the stage flags a stored record keeps for its older readers
+    patch_applied = property(lambda self: OUTCOMES[self.outcome][0] >= 1)
+    server_started = property(lambda self: OUTCOMES[self.outcome][0] >= 2)
+    health_ok = property(lambda self: OUTCOMES[self.outcome][0] >= 3)
+    setup_error = property(lambda self: self.outcome in ("setup_error", "port_in_use"))
+    environment_skipped = property(lambda self: self.outcome == "env_skipped")
 
     @property
     def raw_fraction(self) -> float:
@@ -190,6 +211,7 @@ class RunRecord:
             "setup_error": self.setup_error,
             "task": self.task_summary,
             "labels": self.labels,
+            "outcome": self.outcome,
         }
 
     def to_json(self) -> str:
@@ -215,26 +237,29 @@ def _git(args: list[str], cwd: Path, check: bool = True) -> subprocess.Completed
 
 def _make_workspace(task: TaskSpec, port: int, config: HarnessConfig) -> Workspace:
     """Pristine per-run directory: repo/ (the code tree) + meta/ (logs, prompts)."""
-    if config.workspace_root:
-        Path(config.workspace_root).mkdir(parents=True, exist_ok=True)
-    base = Path(tempfile.mkdtemp(prefix=f"cb-{task.id[:40]}-", dir=config.workspace_root))
+    # resolved, since git runs in the tree and is handed paths under this root
+    workspace_root = Path(config.workspace_root or tempfile.gettempdir()).resolve()
+    workspace_root.mkdir(parents=True, exist_ok=True)
+    base = Path(tempfile.mkdtemp(prefix=f"cb-{task.id[:40]}-", dir=workspace_root))
     root = base / "repo"
     meta = base / "meta"
     root.mkdir()
     meta.mkdir()
 
     if task.kind == "feature":
-        clone = _git(["clone", "-q", task.repo_ref["url"], str(root)], base, check=False)
-        if clone.returncode != 0:
+        try:
+            clone = _git(["clone", "-q", task.repo_ref["url"], str(root)], base, check=False)
+            if clone.returncode != 0:
+                raise TaskSetupError(f"clone failed: {clone.stderr.strip()}")
+            _git(["checkout", "-q", task.repo_ref["commit"]], root)
+            patch_file = meta / "ablation.diff"
+            patch_file.write_text(task.ablation_patch, encoding="utf-8")
+            applied = _git(["apply", "--whitespace=nowarn", str(patch_file)], root, check=False)
+            if applied.returncode != 0:
+                raise TaskSetupError(f"ablation patch failed to apply: {applied.stderr.strip()}")
+        except BaseException:
             shutil.rmtree(base, ignore_errors=True)
-            raise TaskSetupError(f"clone failed: {clone.stderr.strip()}")
-        _git(["checkout", "-q", task.repo_ref["commit"]], root)
-        patch_file = meta / "ablation.diff"
-        patch_file.write_text(task.ablation_patch, encoding="utf-8")
-        applied = _git(["apply", "--whitespace=nowarn", str(patch_file)], root, check=False)
-        if applied.returncode != 0:
-            shutil.rmtree(base, ignore_errors=True)
-            raise TaskSetupError(f"ablation patch failed to apply: {applied.stderr.strip()}")
+            raise
         shutil.rmtree(root / ".git", ignore_errors=True)
 
     return Workspace(root=root, meta=meta, port=port)
@@ -425,31 +450,35 @@ def evaluate_phase(
     except PatchParseError as exc:
         log_parts.append(f"patch parse error: {exc}")
         patch_doc = PatchDocument()
-    compliant, reports = structural_compliance(task, patch_doc, config.aliases)
+    verdict = structural_compliance(task, patch_doc, config.aliases)
     del patch_doc  # not kept: the verdicts re-derive from ``diff``
 
-    def record(logs: str, not_run: str, suite: SuiteResult | None = None, **fields):
-        return RunRecord.of(
-            task, trial, suite or unreachable_result(collection, not_run), logs,
-            diff=diff, verdict=(compliant, reports), labels=labels, token_usage=token_usage,
-            wall_time=time.monotonic() - started_at, **fields,
-        )
+    outcome, suite = _run_stages(task, diff, collection, config, port, log_parts)
+    return RunRecord.of(
+        task, trial, outcome, "\n".join(log_parts), collection, suite=suite, diff=diff,
+        verdict=verdict, labels=labels, token_usage=token_usage,
+        wall_time=time.monotonic() - started_at,
+    )
 
+
+def _run_stages(
+    task: TaskSpec, diff: str, collection: TestCollection, config: HarnessConfig,
+    port: int | None, log_parts: list[str],
+) -> tuple[str, SuiteResult | None]:
+    """The stages of one evaluation, in order: env check, workspace, apply,
+    setup, port probe, launch, health, suite. The first stage that ends the
+    run gives its outcome; only ``"ok"`` comes with the suite's result."""
     if task.constraints.database == "postgres" and not config.pg_url:
-        return record(
-            "environment-skipped: postgres task without PG_URL",
-            "environment-skipped: no PostgreSQL target configured (set PG_URL)",
-            environment_skipped=True,
-        )
+        log_parts.append("environment-skipped: postgres task without PG_URL")
+        return "env_skipped", None
 
     try:
         workspace = _make_workspace(task, port=port or config.port_pool[0], config=config)
     except TaskSetupError as exc:
-        return record(f"task setup error: {exc}", "task setup error", setup_error=True)
+        log_parts.append(f"task setup error: {exc}")
+        return "setup_error", None
 
-    process = suite = None
-    not_run = "server unreachable"  # why ``suite`` is None, if it stays None
-    patch_applied = server_started = health_ok = setup_error = False
+    process = None
     try:
         if diff.strip():
             patch_file = workspace.meta / "changes.diff"
@@ -457,61 +486,56 @@ def evaluate_phase(
             applied = _git(
                 ["apply", "--whitespace=nowarn", str(patch_file)], workspace.root, check=False
             )
-            patch_applied = applied.returncode == 0
-            if not patch_applied:
+            if applied.returncode != 0:
                 log_parts.append(f"git apply failed: {applied.stderr.strip()}")
+                return "apply_failed", None
         else:
-            patch_applied = True
             log_parts.append("empty diff: nothing to apply")
 
         env = _run_env(workspace, config)
-        if not patch_applied:
-            not_run = "patch failed to apply"
-        else:
-            for command in task.setup_commands:
-                try:
-                    completed = _run_command(
-                        command, workspace.root, env, config.setup_timeout, config.shutdown_grace
-                    )
-                    log_parts.append(
-                        f"setup `{command}` exit={completed.returncode}\n"
-                        f"{completed.stdout}{completed.stderr}"
-                    )
-                except subprocess.TimeoutExpired:
-                    log_parts.append(f"setup `{command}` timed out")
-
-            if not (workspace.root / "run.sh").exists():
-                log_parts.append("no run.sh in patched tree; server not started")
-            elif _port_in_use(workspace.port):
-                # whatever answers there is not this run's server
-                log_parts.append(f"task setup error: port {workspace.port} already in use")
-                not_run = "task setup error"
-                setup_error = True
-            else:
-                with open(workspace.server_log, "wb") as log_handle:
-                    process = subprocess.Popen(
-                        ["bash", "run.sh"], cwd=workspace.root, env=env,
-                        stdout=log_handle, stderr=subprocess.STDOUT,
-                        start_new_session=True,
-                    )
-                server_started = True
-                base_url = f"http://127.0.0.1:{workspace.port}/api"
-                health_ok = poll_health(
-                    base_url,
-                    interval=config.health_interval,
-                    max_attempts=config.health_max_attempts,
-                    total_timeout=config.health_total_timeout,
-                    alive=lambda: _group_alive(process),
+        for command in task.setup_commands:
+            try:
+                completed = _run_command(
+                    command, workspace.root, env, config.setup_timeout, config.shutdown_grace
                 )
-                if health_ok:
-                    suite = run_suite(
-                        collection, base_url, request_timeout=config.request_timeout
-                    )
-                elif not _group_alive(process):
-                    log_parts.append(
-                        f"server exited with code {process.returncode} "
-                        "before answering health-check"
-                    )
+                log_parts.append(
+                    f"setup `{command}` exit={completed.returncode}\n"
+                    f"{completed.stdout}{completed.stderr}"
+                )
+            except subprocess.TimeoutExpired:
+                log_parts.append(f"setup `{command}` timed out")
+
+        if not (workspace.root / "run.sh").exists():
+            log_parts.append("no run.sh in patched tree; server not started")
+            return "no_run_sh", None
+        if _port_in_use(workspace.port):
+            # whatever answers there is not this run's server
+            log_parts.append(f"task setup error: port {workspace.port} already in use")
+            return "port_in_use", None
+
+        with open(workspace.server_log, "wb") as log_handle:
+            process = subprocess.Popen(
+                ["bash", "run.sh"], cwd=workspace.root, env=env,
+                stdout=log_handle, stderr=subprocess.STDOUT,
+                start_new_session=True,
+            )
+
+        base_url = f"http://127.0.0.1:{workspace.port}/api"
+        if not poll_health(
+            base_url,
+            interval=config.health_interval,
+            max_attempts=config.health_max_attempts,
+            total_timeout=config.health_total_timeout,
+            alive=lambda: _group_alive(process),
+        ):
+            if _group_alive(process):
+                return "health_timeout", None
+            log_parts.append(
+                f"server exited with code {process.returncode} before answering health-check"
+            )
+            return "server_exited", None
+
+        return "ok", run_suite(collection, base_url, request_timeout=config.request_timeout)
     finally:
         if process is not None:
             _terminate(process, config.shutdown_grace)
@@ -521,11 +545,6 @@ def evaluate_phase(
                 workspace.server_log.read_text(encoding="utf-8", errors="replace")[-20000:]
             )
         workspace.destroy()
-
-    return record(
-        "\n".join(log_parts), not_run, suite, patch_applied=patch_applied,
-        server_started=server_started, health_ok=health_ok, setup_error=setup_error,
-    )
 
 
 def run_one(
@@ -542,10 +561,8 @@ def run_one(
         build = build_phase(task, provider, trial=trial, config=config, port=port)
     except TaskSetupError as exc:
         return RunRecord.of(
-            task, trial, unreachable_result(collection, "task setup error"),
-            f"task setup error: {exc}",
-            verdict=structural_compliance(task, PatchDocument(), config.aliases),
-            labels=labels, setup_error=True,
+            task, trial, "setup_error", f"task setup error: {exc}", collection,
+            verdict=structural_compliance(task, PatchDocument(), config.aliases), labels=labels,
         )
     return evaluate_phase(
         task,
@@ -576,41 +593,35 @@ def run_campaign(
     if trials < 1:
         raise ValueError("trials must be >= 1")
     config = config or HarnessConfig.from_env()
-    jobs = [(task, trial) for task in tasks for trial in range(trials)]
-    records: list[RunRecord | None] = [None] * len(jobs)
+    if not config.port_pool:
+        raise ValueError("port_pool must hold at least one port")
     # each run leases a port for its whole duration, so no two runs share one
     ports: queue.Queue[int] = queue.Queue()
     for port in config.port_pool:
         ports.put(port)
 
-    def execute(index: int) -> None:
-        task, trial = jobs[index]
+    def execute(job: tuple[TaskSpec, int]) -> RunRecord:
+        task, trial = job
         port = ports.get()
         try:
-            records[index] = run_one(
-                task, provider, collection, trial, config, labels=labels, port=port
-            )
+            return run_one(task, provider, collection, trial, config, labels=labels, port=port)
         except Exception as exc:  # run containment: campaign must survive anything
             logger.exception("run crashed: %s trial %s", task.id, trial)
-            records[index] = RunRecord.of(
-                task, trial, unreachable_result(collection, "internal error"),
-                f"internal error: {exc!r}", labels=labels,
+            return RunRecord.of(
+                task, trial, "internal_error", f"internal error: {exc!r}", collection,
+                labels=labels,
             )
         finally:
             ports.put(port)
 
-    workers = min(config.workers, len(config.port_pool))
-    if workers > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            list(pool.map(execute, range(len(jobs))))
-    else:
-        for index in range(len(jobs)):
-            execute(index)
+    jobs = [(task, trial) for task in tasks for trial in range(trials)]
+    workers = max(1, min(config.workers, len(config.port_pool)))
+    with ThreadPoolExecutor(max_workers=workers) as pool:
+        records = list(pool.map(execute, jobs))
 
-    results = [record for record in records if record is not None]
     if out_dir is not None:
-        write_campaign(results, out_dir, trials=trials, labels=labels)
-    return results
+        write_campaign(records, out_dir, trials=trials, labels=labels)
+    return records
 
 
 def write_campaign(records: list[RunRecord], out_dir, trials: int, labels: dict | None = None):

@@ -8,10 +8,10 @@ correlations, chance-corrected agreement, and per-class precision/recall.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from fractions import Fraction
 
-from .composer import ConstraintSet, TaskSpec
+from .composer import TaskSpec
 from .errors import MetricError
 
 
@@ -63,51 +63,34 @@ def pass_at_k(n: int, c: int, k: int) -> float:
     return float(1 - ratio)
 
 
-def _pair_key(constraints: ConstraintSet, drop: str) -> tuple:
-    """Constraint coordinates with one axis removed, for matched-pair grouping."""
-    if drop == "arch":
-        return (constraints.database, constraints.orm)
-    if drop in ("sqlite", "pg"):
-        return (constraints.architecture, constraints.orm)
-    return (constraints.architecture, constraints.database)
-
-
-def _constraint_active(constraints: ConstraintSet, constraint: str) -> bool | None:
-    """True if the axis value is present, False if absent, None if incomparable."""
-    if constraint == "arch":
-        return constraints.architecture
-    if constraint == "sqlite":
-        if constraints.database == "sqlite":
-            return True
-        return False if constraints.database == "none" else None
-    if constraint == "pg":
-        if constraints.database == "postgres":
-            return True
-        return False if constraints.database == "none" else None
-    if constraint in ("sqlalchemy", "sequelize", "orm"):
-        if constraints.database == "none":
-            return None
-        return constraints.orm
-    raise MetricError(f"unknown constraint axis value: {constraint}")
+# constraint -> the same constraints without it, or None where it is absent
+# or cannot go alone (a database that an ORM constraint still needs)
+_WITHOUT = {
+    "arch": lambda c: replace(c, architecture=False) if c.architecture else None,
+    "sqlite": lambda c: None if c.database != "sqlite" or c.orm else replace(c, database="none"),
+    "pg": lambda c: None if c.database != "postgres" or c.orm else replace(c, database="none"),
+    "orm": lambda c: replace(c, orm=False) if c.orm else None,
+}
+_ORM_NAMES = {"sqlalchemy": "SQLAlchemy", "sequelize": "Sequelize"}
 
 
 def matched_pairs(tasks: list[TaskSpec], constraint: str) -> list[tuple[str, str]]:
-    """(with_id, without_id) pairs differing by exactly the given constraint."""
-    orm_name = {"sqlalchemy": "SQLAlchemy", "sequelize": "Sequelize"}.get(constraint)
-    with_side: dict[tuple, str] = {}
-    without_side: dict[tuple, str] = {}
+    """(with_id, without_id) pairs: a task with the given constraint, and the
+    same framework's task with only that constraint removed."""
+    orm_name = _ORM_NAMES.get(constraint)
+    without = _WITHOUT.get("orm" if orm_name else constraint)
+    if without is None:
+        raise MetricError(f"unknown constraint axis value: {constraint}")
+    ids = {(task.framework.name, task.constraints): task.id for task in tasks}
+    pairs = []
     for task in tasks:
-        if orm_name and task.framework.orm_name != orm_name:
+        partner = without(task.constraints)
+        if partner is None or (orm_name and task.framework.orm_name != orm_name):
             continue
-        active = _constraint_active(task.constraints, constraint)
-        if active is None:
-            continue
-        drop = "orm" if constraint in ("sqlalchemy", "sequelize", "orm") else constraint
-        key = (task.framework.name,) + _pair_key(task.constraints, drop)
-        (with_side if active else without_side)[key] = task.id
-    return sorted(
-        (with_side[key], without_side[key]) for key in with_side if key in without_side
-    )
+        partner_id = ids.get((task.framework.name, partner))
+        if partner_id is not None:
+            pairs.append((task.id, partner_id))
+    return sorted(pairs)
 
 
 def marginal_effect(

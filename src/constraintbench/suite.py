@@ -11,6 +11,7 @@ and the whole suite can be validated statically.
 from __future__ import annotations
 
 import csv
+import http.client
 import io
 import json
 import re
@@ -457,9 +458,12 @@ def run_suite(
                 status, raw = _http_request(
                     base + path, request.method, headers, body_bytes, request_timeout
                 )
-            except (urllib.error.URLError, ConnectionError, TimeoutError, OSError) as exc:
+            except OSError as exc:
                 reason = getattr(exc, "reason", exc)
                 record_all(False, f"connection failed: {reason}")
+                continue
+            except http.client.HTTPException as exc:  # not an HTTP reply, or a cut-off one
+                record_all(False, f"malformed response: {exc!r}")
                 continue
 
             result.requests_executed += 1
@@ -523,7 +527,7 @@ def poll_health(
             status, _ = _http_request(url, "GET", {}, None, timeout)
             if status == 200:
                 return True
-        except (urllib.error.URLError, ConnectionError, TimeoutError, OSError):
+        except (OSError, http.client.HTTPException):
             pass
         now = time.monotonic()
         if now >= deadline:

@@ -166,6 +166,7 @@ def test_evaluate_golden_layered_l3(conduit_collection, config):
     )
     record = evaluate_phase(task, golden_patch("layered"), conduit_collection, config=config)
     assert record.patch_applied and record.server_started and record.health_ok
+    assert record.outcome == "ok"
     assert record.suite.assertions_passed == 291
     assert record.structurally_compliant is True
     assert record.full_pass is True
@@ -248,6 +249,7 @@ def test_evaluate_crashing_run_script(mini_collection, config, flask_l0):
     assert record.patch_applied is True
     assert record.server_started is True
     assert record.health_ok is False
+    assert record.outcome == "server_exited"
     assert record.suite.assertions_passed == 0
     assert record.suite.assertions_total == 2
     assert "server exited with code 7 before answering health-check" in record.logs
@@ -286,6 +288,7 @@ def test_evaluate_background_server_scored_and_stopped(mini_collection, config, 
     record = evaluate_phase(flask_l0, diff, mini_collection, config=config)
     # run.sh exits 0 at once, but its server is still in the process group
     assert record.health_ok is True
+    assert record.outcome == "ok"
     assert record.full_pass is True
     assert "server exited" not in record.logs
     with pytest.raises(ConnectionRefusedError):
@@ -305,6 +308,7 @@ def test_evaluate_does_not_score_a_stray_server_on_its_port(
     assert record.patch_applied is True
     assert record.server_started is False and record.health_ok is False
     assert record.setup_error is True
+    assert record.outcome == "port_in_use"
     assert record.to_dict()["suite"]["not_run"] == "task setup error"
     assert f"task setup error: port {stray.port} already in use" in record.logs.splitlines()
 
@@ -313,6 +317,7 @@ def test_evaluate_invalid_diff_recorded_not_crashed(mini_collection, config, fla
     record = evaluate_phase(flask_l0, "diff --git a/x b/x\n@@ nonsense", mini_collection,
                             config=config)
     assert record.patch_applied is False
+    assert record.outcome == "apply_failed"
     assert record.suite.assertions_passed == 0
     assert record.structurally_compliant is True  # L0: no applicable verifiers
 
@@ -323,6 +328,7 @@ def test_evaluate_missing_run_script(mini_collection, config, flask_l0):
     assert record.patch_applied is True
     assert record.server_started is False
     assert record.health_ok is False
+    assert record.outcome == "no_run_sh"
 
 
 def test_postgres_task_without_target_is_environment_skipped(mini_collection, config):
@@ -335,7 +341,69 @@ def test_postgres_task_without_target_is_environment_skipped(mini_collection, co
     record = evaluate_phase(task, golden_patch("layered"), mini_collection, config=config)
     assert record.environment_skipped is True
     assert record.server_started is False
+    assert record.outcome == "env_skipped"
     assert record.full_pass is False
+
+
+# What records stored for each way a run ends, before ``outcome`` existed:
+# (patch_applied, server_started, health_ok, setup_error, environment_skipped)
+STORED_FLAGS = {
+    "ok": (True, True, True, False, False),  # golden L3, background server
+    "server_exited": (True, True, False, False, False),  # crashing run.sh
+    "health_timeout": (True, True, False, False, False),  # server never answers 200
+    "no_run_sh": (True, False, False, False, False),  # missing run.sh
+    "port_in_use": (True, False, False, True, False),  # stray server on the port
+    "apply_failed": (False, False, False, False, False),  # invalid diff
+    "setup_error": (False, False, False, True, False),  # missing recorded diff
+    "env_skipped": (False, False, False, False, True),  # postgres without PG_URL
+    "internal_error": (False, False, False, False, False),  # crashing run_one
+}
+
+
+@pytest.mark.parametrize("outcome", sorted(harness.OUTCOMES))
+def test_outcome_stores_the_stage_flags_of_its_scenario(outcome, mini_collection, flask_l0):
+    assert set(STORED_FLAGS) == set(harness.OUTCOMES)
+    suite = SuiteResult(name="mini") if outcome == "ok" else None
+    record = harness.RunRecord.of(flask_l0, 0, outcome, "", mini_collection, suite=suite)
+    stored = json.loads(record.to_json())
+    names = ("patch_applied", "server_started", "health_ok", "setup_error", "environment_skipped")
+    assert tuple(stored[name] for name in names) == STORED_FLAGS[outcome]
+    assert tuple(getattr(record, name) for name in names) == STORED_FLAGS[outcome]
+    assert stored["outcome"] == outcome
+    assert stored["suite"].get("not_run") == harness.OUTCOMES[outcome][1]
+
+
+GARBAGE_SERVER = '''import os, socket
+
+with socket.create_server(("127.0.0.1", int(os.environ["PORT"]))) as listener:
+    while True:
+        connection, _ = listener.accept()
+        with connection:
+            connection.recv(65536)
+            connection.sendall(b"garbage\\r\\n\\r\\n")
+'''
+
+
+def test_evaluate_keeps_the_verdict_when_the_server_answers_garbage(mini_collection, config):
+    files = layered_files()
+    files["run.sh"] = ("#!/bin/sh\nexec python3 garbage.py\n", True)
+    files["garbage.py"] = (GARBAGE_SERVER, False)
+    config.health_max_attempts = 3
+    record = evaluate_phase(_l3_task(), files_to_diff(files), mini_collection, config=config)
+    assert record.outcome == "health_timeout"
+    assert record.patch_applied is True and record.server_started is True
+    assert record.structurally_compliant is True
+    assert [r.axis for r in record.verifier_reports] == ["architecture", "database", "orm"]
+    assert "--- server log ---" in record.logs
+
+
+def test_relative_workspace_root_is_resolved(tmp_path, monkeypatch, conduit_collection, config):
+    monkeypatch.chdir(tmp_path)
+    config.workspace_root = "out/ws"
+    record = evaluate_phase(_l3_task(), golden_patch("layered"), conduit_collection, config=config)
+    assert record.suite.assertions_passed == record.suite.assertions_total == 291, record.logs
+    assert record.outcome == "ok"
+    assert list((tmp_path / "out" / "ws").iterdir()) == []
 
 
 def test_verifiers_run_even_when_server_never_starts(config, mini_collection):
@@ -407,6 +475,7 @@ def test_campaign_survives_missing_recorded_diff(tmp_path, mini_collection, conf
                            config=config)
     assert len(records) == 2
     assert all(r.setup_error for r in records)
+    assert [r.outcome for r in records] == ["setup_error", "setup_error"]
     assert all(not r.full_pass for r in records)
 
 
@@ -418,6 +487,7 @@ def test_campaign_contains_a_crashing_run(monkeypatch, mini_collection, config, 
     provider = PatchProvider("recorded_directory", "unused")
     [record] = run_campaign([flask_l0], provider, 1, mini_collection, config=config)
     assert record.logs == "internal error: RuntimeError('boom')"
+    assert record.outcome == "internal_error"
     assert record.verifier_reports == [] and record.structurally_compliant is False
     stored = record.to_dict()
     assert stored["diff"] == ""
@@ -450,6 +520,25 @@ def test_campaign_never_gives_one_port_to_two_runs(monkeypatch, mini_collection,
     assert records == list(range(6))
     assert clashes == []
     assert set(used) == {8141, 8142}
+
+
+def test_campaign_rejects_an_empty_port_pool(mini_collection, flask_l0):
+    config = HarnessConfig(port_pool=[], pg_url=None)
+    raised: list[Exception] = []
+
+    def campaign():
+        try:
+            run_campaign([flask_l0], PatchProvider("recorded_directory", "unused"), 1,
+                         mini_collection, config=config)
+        except ValueError as exc:
+            raised.append(exc)
+
+    # a daemon thread, so that a campaign blocked on the empty pool fails the test
+    thread = threading.Thread(target=campaign, daemon=True)
+    thread.start()
+    thread.join(timeout=2)
+    assert not thread.is_alive(), "run_campaign blocked on an empty port pool"
+    assert len(raised) == 1 and "port_pool" in str(raised[0])
 
 
 def test_load_campaign_missing_index(tmp_path):
@@ -775,6 +864,15 @@ def test_feature_ablation_failure_is_task_setup_error(tmp_path, config):
     provider = PatchProvider("external_command", "true")
     with pytest.raises(TaskSetupError, match="ablation"):
         build_phase(task, provider, trial=0, config=config)
+
+
+def test_feature_bad_commit_leaves_no_workspace(tmp_path, config):
+    upstream, _, ablation = make_feature_fixture(tmp_path)
+    task = make_feature_task(str(upstream), "0" * 40, ablation)
+    provider = PatchProvider("external_command", "true")
+    with pytest.raises(TaskSetupError, match="checkout"):
+        build_phase(task, provider, trial=0, config=config)
+    assert list(Path(config.workspace_root).iterdir()) == []
 
 
 def test_feature_evaluate_applies_ablation_then_patch(tmp_path, mini_collection, config):

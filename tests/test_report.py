@@ -32,9 +32,6 @@ def synthetic_records():
                 task_id=score.task_id,
                 trial=score.trial,
                 diff="",
-                patch_applied=True,
-                server_started=True,
-                health_ok=True,
                 suite=_suite(score.raw_fraction),
                 verifier_reports=[],
                 structurally_compliant=score.compliant,
@@ -148,7 +145,7 @@ def test_missing_results_dir_is_error(tmp_path):
 
 def test_environment_skipped_runs_not_scored(tmp_path):
     records = synthetic_records()
-    records[0].environment_skipped = True
+    records[0].outcome = "env_skipped"
     out = tmp_path / "results"
     write_campaign(records, out, trials=3)
     from constraintbench.harness import load_campaign

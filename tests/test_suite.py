@@ -1,5 +1,7 @@
+import contextlib
 import json
 import socket
+import socketserver
 import threading
 import time
 
@@ -348,6 +350,59 @@ def test_poll_health_gives_up_on_a_server_that_never_answers():
     assert ok is False
     # give-up point: (5 - 1) * 0.2 s after the start, whatever the probes' timeout
     assert (5 - 1) * 0.2 <= elapsed < 1.2
+
+
+# replies that are not HTTP (BadStatusLine) or end before their body (IncompleteRead)
+MALFORMED_REPLIES = {
+    "BadStatusLine": b"garbage\r\n\r\n",
+    "IncompleteRead": b"HTTP/1.1 200 OK\r\nContent-Length: 100\r\n\r\nshort",
+}
+
+
+class _MalformedReply(socketserver.BaseRequestHandler):
+    def handle(self):
+        self.request.recv(65536)
+        self.request.sendall(self.server.reply)
+
+
+@contextlib.contextmanager
+def malformed_server(reply: bytes):
+    """A base URL whose server answers every request with ``reply`` and hangs up."""
+    server = socketserver.ThreadingTCPServer(("127.0.0.1", 0), _MalformedReply)
+    server.reply = reply
+    thread = threading.Thread(target=server.serve_forever, args=(0.01,), daemon=True)
+    thread.start()
+    try:
+        yield f"http://127.0.0.1:{server.server_address[1]}/api"
+    finally:
+        server.shutdown()
+        server.server_close()
+        thread.join()
+
+
+@pytest.mark.parametrize("error", sorted(MALFORMED_REPLIES))
+def test_run_suite_fails_the_requests_a_malformed_reply_answers(error):
+    request = {"name": "health", "method": "GET", "path": "/health-check",
+               "assertions": [{"kind": "status_code", "expect": 200}]}
+    collection = load_collection(
+        json.dumps({"name": "one", "folders": [{"name": "Health", "requests": [request]}]})
+    )
+    with malformed_server(MALFORMED_REPLIES[error]) as base_url:
+        result = run_suite(collection, base_url, request_timeout=2)
+    [outcome] = result.per_assertion
+    assert outcome.passed is False
+    assert outcome.detail.startswith(f"malformed response: {error}(")
+
+
+@pytest.mark.parametrize("error", sorted(MALFORMED_REPLIES))
+def test_poll_health_treats_a_malformed_reply_as_not_healthy(error):
+    with malformed_server(MALFORMED_REPLIES[error]) as base_url:
+        start = time.monotonic()
+        ok = poll_health(base_url, interval=0.1, max_attempts=3, total_timeout=2,
+                         request_timeout=1)
+        elapsed = time.monotonic() - start
+    assert ok is False
+    assert elapsed < 1.0
 
 
 def test_poll_health_server_starts_late():
