@@ -556,24 +556,31 @@ def run_one(
     labels: dict | None = None,
     port: int | None = None,
 ) -> RunRecord:
-    """build_phase + evaluate_phase with per-run error containment."""
+    """build_phase + evaluate_phase with per-run error containment.
+
+    The record's ``wall_time`` runs from before ``build_phase``, so it holds
+    the provider's time as well as the evaluation's."""
+    started_at = time.monotonic()
     try:
         build = build_phase(task, provider, trial=trial, config=config, port=port)
     except TaskSetupError as exc:
-        return RunRecord.of(
+        record = RunRecord.of(
             task, trial, "setup_error", f"task setup error: {exc}", collection,
             verdict=structural_compliance(task, PatchDocument(), config.aliases), labels=labels,
         )
-    return evaluate_phase(
-        task,
-        build.diff_text,
-        collection,
-        config=config,
-        trial=trial,
-        token_usage=build.token_usage,
-        labels=labels,
-        port=port,
-    )
+    else:
+        record = evaluate_phase(
+            task,
+            build.diff_text,
+            collection,
+            config=config,
+            trial=trial,
+            token_usage=build.token_usage,
+            labels=labels,
+            port=port,
+        )
+    record.wall_time = time.monotonic() - started_at
+    return record
 
 
 def run_campaign(
@@ -603,13 +610,14 @@ def run_campaign(
     def execute(job: tuple[TaskSpec, int]) -> RunRecord:
         task, trial = job
         port = ports.get()
+        started_at = time.monotonic()
         try:
             return run_one(task, provider, collection, trial, config, labels=labels, port=port)
         except Exception as exc:  # run containment: campaign must survive anything
             logger.exception("run crashed: %s trial %s", task.id, trial)
             return RunRecord.of(
                 task, trial, "internal_error", f"internal error: {exc!r}", collection,
-                labels=labels,
+                labels=labels, wall_time=time.monotonic() - started_at,
             )
         finally:
             ports.put(port)

@@ -29,8 +29,13 @@ _MISSING = object()
 ASSERTION_KINDS = ("property_presence", "type_validation", "status_code", "state_transition")
 TRANSITIONS = ("became", "changed", "unchanged", "increased_by", "decreased_by")
 _HTTP_METHODS = ("GET", "POST", "PUT", "DELETE", "PATCH", "HEAD", "OPTIONS")
-# poll_health re-probes after REPROBE_FIRST_S, then at gaps doubling up to
-# REPROBE_CAP_S; a probe may take the time left to give up, but PROBE_FLOOR_S.
+# poll_health probes again, while the port refuses the connection, after
+# 1/CONNECT_GAP_DIVISOR of the time waited so far, clamped to
+# [CONNECT_GAP_MIN_S, REPROBE_CAP_S]; once it accepts, after REPROBE_FIRST_S,
+# then at gaps doubling up to REPROBE_CAP_S. A probe may take the time left to
+# give up, but PROBE_FLOOR_S.
+CONNECT_GAP_DIVISOR = 20
+CONNECT_GAP_MIN_S = 0.001
 REPROBE_FIRST_S = 0.01
 REPROBE_CAP_S = 0.05
 PROBE_FLOOR_S = 0.01
@@ -512,26 +517,33 @@ def poll_health(
 
     The wait gives up at the last of the probes ``interval`` apart that
     ``max_attempts`` and ``total_timeout`` allow, even while a server holds
-    a probe unanswered. ``alive``, when given, is asked before every probe;
-    once it answers False the wait ends with no further probe, since
-    whatever answers then is not the server being waited for.
+    a probe unanswered. A probe is one GET; while the port refuses its
+    connection, the next comes within a twentieth of the time waited.
+    ``alive``, when given, is asked before every probe; once it answers
+    False the wait ends with no further probe, since whatever answers then
+    is not the server being waited for.
     """
     if interval <= 0:
         raise ValueError("interval must be positive")
     url = base_url.rstrip("/") + "/health-check"
-    deadline = time.monotonic() + interval * min(max_attempts - 1, total_timeout // interval)
-    gap = REPROBE_FIRST_S
+    started = time.monotonic()
+    deadline = started + interval * min(max_attempts - 1, total_timeout // interval)
+    http_gap = REPROBE_FIRST_S
     while max_attempts > 0 and (alive is None or alive()):
         timeout = min(request_timeout, max(deadline - time.monotonic(), PROBE_FLOOR_S))
+        refused = False
         try:
             status, _ = _http_request(url, "GET", {}, None, timeout)
             if status == 200:
                 return True
-        except (OSError, http.client.HTTPException):
-            pass
+        except (OSError, http.client.HTTPException) as exc:
+            refused = isinstance(getattr(exc, "reason", exc), ConnectionRefusedError)
         now = time.monotonic()
         if now >= deadline:
             return False
+        if refused:  # not listening yet
+            gap = min(max((now - started) / CONNECT_GAP_DIVISOR, CONNECT_GAP_MIN_S), REPROBE_CAP_S)
+        else:
+            gap, http_gap = http_gap, min(2 * http_gap, REPROBE_CAP_S)
         time.sleep(min(gap, interval, deadline - now))
-        gap = min(2 * gap, REPROBE_CAP_S)
     return False

@@ -84,55 +84,64 @@ class VerifierReport:
         }
 
 
-# Evidence per database engine and ORM as (tag, regex, scope). Scopes: "any" =
-# every scanned line (case-insensitive); "package_json" = package.json only,
-# case-sensitive (npm names are); "python_dep_file" = requirements/pyproject/
-# Pipfile/setup files.
+# Evidence per database engine and ORM as (tag, regex, scope, needles). Scopes:
+# "any" = every scanned line (case-insensitive); "package_json" = package.json
+# only, case-sensitive (npm names are); "python_dep_file" = requirements/
+# pyproject/Pipfile/setup files. A needle is a literal that the regex cannot
+# match without (several: one of them), written in lowercase; a row whose
+# needles are all absent from a file's lowercased added text is not run on it.
 _ANY = "any"
 _PKG_JSON = "package_json"
 _PY_DEP = "python_dep_file"
 
 
-def _compiled(*patterns: tuple[str, str, str]) -> list[tuple[str, re.Pattern, str]]:
+def _compiled(*patterns: tuple[str, str, str, tuple[str, ...]]):
     return [
-        (tag, re.compile(regex, 0 if scope == _PKG_JSON else re.IGNORECASE), scope)
-        for tag, regex, scope in patterns
+        (tag, re.compile(regex, 0 if scope == _PKG_JSON else re.IGNORECASE), scope, needles)
+        for tag, regex, scope, needles in patterns
     ]
 
 
 EVIDENCE_PATTERNS = {
     "sqlite": _compiled(
-        ("sqlite3-import", r"\b(?:import|from)\s+sqlite3\b", _ANY),
-        ("aiosqlite-import", r"\b(?:import|from)\s+aiosqlite\b", _ANY),
-        ("sqlite-url", r"\bsqlite(?:\+\w+)?://", _ANY),
-        ("django-sqlite-backend", r"django\.db\.backends\.sqlite3", _ANY),
-        ("node-sqlite-require", r"""require\s*\(\s*['"](?:better-)?sqlite3['"]\s*\)""", _ANY),
-        ("node-sqlite-import", r"""from\s+['"](?:better-)?sqlite3['"]""", _ANY),
-        ("pkg-dep-sqlite", r'"(?:better-)?sqlite3"\s*:', _PKG_JSON),
-        ("sequelize-dialect-sqlite", r"""dialect\s*:\s*['"]sqlite['"]""", _ANY),
+        ("sqlite3-import", r"\b(?:import|from)\s+sqlite3\b", _ANY, ("sqlite3",)),
+        ("aiosqlite-import", r"\b(?:import|from)\s+aiosqlite\b", _ANY, ("aiosqlite",)),
+        ("sqlite-url", r"\bsqlite(?:\+\w+)?://", _ANY, ("sqlite",)),
+        ("django-sqlite-backend", r"django\.db\.backends\.sqlite3", _ANY,
+         ("django.db.backends.sqlite3",)),
+        ("node-sqlite-require", r"""require\s*\(\s*['"](?:better-)?sqlite3['"]\s*\)""", _ANY,
+         ("sqlite3",)),
+        ("node-sqlite-import", r"""from\s+['"](?:better-)?sqlite3['"]""", _ANY, ("sqlite3",)),
+        ("pkg-dep-sqlite", r'"(?:better-)?sqlite3"\s*:', _PKG_JSON, ('sqlite3"',)),
+        ("sequelize-dialect-sqlite", r"""dialect\s*:\s*['"]sqlite['"]""", _ANY, ("dialect",)),
     ),
     "postgres": _compiled(
-        ("psycopg-asyncpg-import", r"\b(?:import|from)\s+(?:psycopg2?|asyncpg)\b", _ANY),
-        ("postgres-url", r"\bpostgres(?:ql)?(?:\+\w+)?://", _ANY),
-        ("sqlalchemy-pg-dialect", r"sqlalchemy\.dialects\.postgresql", _ANY),
-        ("django-postgres-backend", r"django\.db\.backends\.postgresql", _ANY),
-        ("node-pg-require", r"""require\s*\(\s*['"]pg(?:-promise)?['"]\s*\)""", _ANY),
-        ("node-pg-import", r"""from\s+['"]pg(?:-promise)?['"]""", _ANY),
-        ("pkg-dep-pg", r'"pg(?:-promise)?"\s*:', _PKG_JSON),
-        ("sequelize-dialect-postgres", r"""dialect\s*:\s*['"]postgres(?:ql)?['"]""", _ANY),
-        ("postgres-host", r"@postgres\b", _ANY),
-        ("postgres-host", r"""\bhost\s*[=:]\s*['"]?postgres['"]?\b""", _ANY),
+        ("psycopg-asyncpg-import", r"\b(?:import|from)\s+(?:psycopg2?|asyncpg)\b", _ANY,
+         ("psycopg", "asyncpg")),
+        ("postgres-url", r"\bpostgres(?:ql)?(?:\+\w+)?://", _ANY, ("postgres",)),
+        ("sqlalchemy-pg-dialect", r"sqlalchemy\.dialects\.postgresql", _ANY,
+         ("sqlalchemy.dialects.postgresql",)),
+        ("django-postgres-backend", r"django\.db\.backends\.postgresql", _ANY,
+         ("django.db.backends.postgresql",)),
+        ("node-pg-require", r"""require\s*\(\s*['"]pg(?:-promise)?['"]\s*\)""", _ANY, ("pg",)),
+        ("node-pg-import", r"""from\s+['"]pg(?:-promise)?['"]""", _ANY, ("pg",)),
+        ("pkg-dep-pg", r'"pg(?:-promise)?"\s*:', _PKG_JSON, ('"pg',)),
+        ("sequelize-dialect-postgres", r"""dialect\s*:\s*['"]postgres(?:ql)?['"]""", _ANY,
+         ("dialect",)),
+        ("postgres-host", r"@postgres\b", _ANY, ("@postgres",)),
+        ("postgres-host", r"""\bhost\s*[=:]\s*['"]?postgres['"]?\b""", _ANY, ("postgres",)),
     ),
     "sqlalchemy": _compiled(
-        ("sqlalchemy-import", r"^\s*import\s+sqlalchemy\b", _ANY),
-        ("sqlalchemy-from-import", r"^\s*from\s+sqlalchemy(?:\.\w+)*\s+import\b", _ANY),
-        ("dep-file-sqlalchemy", r"sqlalchemy", _PY_DEP),
+        ("sqlalchemy-import", r"^\s*import\s+sqlalchemy\b", _ANY, ("sqlalchemy",)),
+        ("sqlalchemy-from-import", r"^\s*from\s+sqlalchemy(?:\.\w+)*\s+import\b", _ANY,
+         ("sqlalchemy",)),
+        ("dep-file-sqlalchemy", r"sqlalchemy", _PY_DEP, ("sqlalchemy",)),
     ),
     "sequelize": _compiled(
-        ("sequelize-require", r"""require\s*\(\s*['"]sequelize['"]\s*\)""", _ANY),
-        ("sequelize-import", r"""import\s+.*\bfrom\s+['"]sequelize['"]""", _ANY),
-        ("sequelize-new", r"new\s+Sequelize\s*\(", _ANY),
-        ("pkg-dep-sequelize", r'"sequelize"\s*:', _PKG_JSON),
+        ("sequelize-require", r"""require\s*\(\s*['"]sequelize['"]\s*\)""", _ANY, ("sequelize",)),
+        ("sequelize-import", r"""import\s+.*\bfrom\s+['"]sequelize['"]""", _ANY, ("sequelize",)),
+        ("sequelize-new", r"new\s+Sequelize\s*\(", _ANY, ("sequelize",)),
+        ("pkg-dep-sequelize", r'"sequelize"\s*:', _PKG_JSON, ('"sequelize"',)),
     ),
 }
 
@@ -152,15 +161,21 @@ def _scope_matches(scope: str, path: str) -> bool:
     return False
 
 
-def _scan(patch: PatchDocument, patterns: list[tuple[str, re.Pattern, str]]):
+def _scan(patch: PatchDocument, patterns: list[tuple[str, re.Pattern, str, tuple[str, ...]]]):
     """Yield (path, line_number, matched_text, tag) for every pattern hit."""
     hits = []
     for change in patch.active_files():
-        applicable = [(t, r) for t, r, scope in patterns if _scope_matches(scope, change.path)]
+        applicable = [row for row in patterns if _scope_matches(row[2], change.path)]
         if not applicable:
             continue
+        added = "\n".join(line for _, line in change.added_lines)
+        # Only on ASCII text does ``str.lower`` agree with re.IGNORECASE,
+        # which also folds "ſ", "ı" and the Kelvin sign onto ASCII letters.
+        if added.isascii():
+            added = added.lower()
+            applicable = [row for row in applicable if any(n in added for n in row[3])]
         for line_number, text in change.added_lines:
-            for tag, regex in applicable:
+            for tag, regex, _, _ in applicable:
                 match = regex.search(text)
                 if match:
                     hits.append((change.path, line_number, match.group(0), tag))

@@ -479,6 +479,33 @@ def test_campaign_survives_missing_recorded_diff(tmp_path, mini_collection, conf
     assert all(not r.full_pass for r in records)
 
 
+def test_missing_diff_record_keeps_its_wall_time(tmp_path, mini_collection, config, flask_l0):
+    provider = PatchProvider("recorded_directory", str(tmp_path / "empty"))
+    [record] = run_campaign([flask_l0], provider, 1, mini_collection, config=config)
+    assert record.outcome == "setup_error"
+    assert record.wall_time > 0
+
+
+def test_provider_timeout_record_keeps_its_wall_time(mini_collection, config, flask_l0):
+    config.provider_timeout = 0.3
+    provider = PatchProvider("external_command", "sleep 30")
+    [record] = run_campaign([flask_l0], provider, 1, mini_collection, config=config)
+    assert record.outcome == "internal_error"
+    assert record.wall_time >= 0.3
+
+
+def test_slow_provider_time_is_part_of_the_record(tmp_path, mini_collection, config, flask_l0):
+    (tmp_path / "server.py").write_text(BACKGROUND_SERVER)
+    provider = PatchProvider(
+        "external_command",
+        f"sleep 0.3 && cp '{tmp_path / 'server.py'}' server.py"
+        " && printf '#!/bin/sh\\nexec python3 server.py\\n' > run.sh && chmod +x run.sh",
+    )
+    [record] = run_campaign([flask_l0], provider, 1, mini_collection, config=config)
+    assert record.outcome == "ok"
+    assert record.wall_time >= 0.3
+
+
 def test_campaign_contains_a_crashing_run(monkeypatch, mini_collection, config, flask_l0):
     def crash(*args, **kwargs):
         raise RuntimeError("boom")

@@ -7,6 +7,7 @@ import time
 
 import pytest
 
+from constraintbench import suite
 from constraintbench.errors import CollectionSchemaError
 from constraintbench.refserver import ServerHandle
 from constraintbench.suite import (
@@ -494,3 +495,76 @@ def test_poll_health_never_probes_once_not_alive():
     with ServerHandle(port=0) as server:
         assert poll_health(server.base_url, interval=0.1, max_attempts=3,
                            alive=lambda: False) is False
+
+
+class FakeClock:
+    """Stands in for ``suite.time``: time moves only when poll_health sleeps."""
+
+    def __init__(self):
+        self.now = 0.0
+        self.sleeps = []  # (when, how long)
+
+    def monotonic(self):
+        return self.now
+
+    def sleep(self, seconds):
+        self.sleeps.append((self.now, seconds))
+        self.now += seconds
+
+
+def test_poll_health_connects_again_after_a_twentieth_of_the_time_waited(monkeypatch):
+    clock = FakeClock()
+    monkeypatch.setattr(suite, "time", clock)
+    ok = poll_health("http://127.0.0.1:1/api", interval=0.2, max_attempts=5,
+                     total_timeout=10, request_timeout=0.5)
+    assert ok is False
+    # the give-up point stays (5 - 1) * 0.2 s after the start
+    assert clock.now == pytest.approx(0.8)
+    assert clock.sleeps[0] == (0.0, 0.001)
+    for when, slept in clock.sleeps:
+        assert slept == pytest.approx(min(max(when / 20, 0.001), 0.05, 0.8 - when))
+
+
+class _CountingHandler(socketserver.BaseRequestHandler):
+    """Counts the requests each connection carries; answers 503 to the
+    first ``server.unready`` of them and 200 after."""
+
+    def setup(self):
+        self.requests = 0
+
+    def handle(self):
+        received = b""
+        try:
+            while chunk := self.request.recv(65536):
+                received += chunk
+                while received.count(b"\r\n\r\n") > self.requests:
+                    self.requests += 1
+                    with self.server.lock:
+                        self.server.answered += 1
+                        ready = self.server.answered > self.server.unready
+                    status = b"200 OK" if ready else b"503 Service Unavailable"
+                    self.request.sendall(b"HTTP/1.1 " + status
+                                         + b"\r\nContent-Length: 2\r\n\r\n{}")
+        finally:
+            self.server.per_connection.append(self.requests)
+
+
+def test_poll_health_sends_one_request_on_each_connection_it_opens(monkeypatch):
+    clock = FakeClock()
+    monkeypatch.setattr(suite, "time", clock)
+    server = socketserver.ThreadingTCPServer(("127.0.0.1", 0), _CountingHandler)
+    server.lock, server.answered, server.unready, server.per_connection = (
+        threading.Lock(), 0, 3, [])
+    thread = threading.Thread(target=server.serve_forever, args=(0.01,), daemon=True)
+    thread.start()
+    try:
+        ok = poll_health(f"http://127.0.0.1:{server.server_address[1]}/api", interval=0.5,
+                         max_attempts=20, total_timeout=10, request_timeout=2)
+    finally:
+        server.shutdown()
+        server.server_close()  # waits for the handler threads
+        thread.join(timeout=5)
+    assert ok is True
+    assert server.per_connection == [1, 1, 1, 1]
+    # a port that accepts but does not answer 200 keeps the HTTP schedule
+    assert [slept for _, slept in clock.sleeps] == [0.01, 0.02, 0.04]

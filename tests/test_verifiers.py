@@ -6,12 +6,16 @@ dependency-direction / evidence-pattern rules, so the corpus doubles as an
 executable specification of the verifiers.
 """
 
+import sys
+
 import pytest
 
+from constraintbench import verifiers
 from constraintbench.composer import FRAMEWORKS, ConstraintSet, TaskSpec
 from constraintbench.diffs import apply_exclusions, parse_patch
-from constraintbench.golden import files_to_diff
+from constraintbench.golden import files_to_diff, golden_patch, layered_files
 from constraintbench.verifiers import (
+    EVIDENCE_PATTERNS,
     LayerAliasMap,
     classify_layer,
     default_alias_map,
@@ -448,3 +452,122 @@ def test_verifiers_are_deterministic():
     first = verify_architecture(patch_from(files)).to_dict()
     second = verify_architecture(patch_from(files)).to_dict()
     assert first == second
+
+
+# -- needle-gated evidence scan -------------------------------------------------
+
+if sys.version_info >= (3, 11):
+    from re import _parser as sre_parse
+else:  # the module moved in 3.11, and importing the old name there warns
+    import sre_parse
+
+
+def ungated_scan(patch, patterns):
+    """The reference: every applicable regex over every added line."""
+    hits = []
+    for change in patch.active_files():
+        applicable = [(tag, regex) for tag, regex, scope, _ in patterns
+                      if verifiers._scope_matches(scope, change.path)]
+        for line_number, text in change.added_lines:
+            for tag, regex in applicable:
+                match = regex.search(text)
+                if match:
+                    hits.append((change.path, line_number, match.group(0), tag))
+    return hits
+
+
+# run.sh of each boot defect a golden L3 patch can carry
+BOOT_DEFECT_RUN_SH = {
+    "crash": "#!/bin/sh\necho 'fatal: cannot open database' >&2\nexit 3\n",
+    "never_listens": "#!/bin/sh\nexec sleep 600\n",
+    "late_boot": "#!/bin/sh\nsleep 1.2\nexec python3 server.py\n",
+}
+REJECTED_HUNK = """diff --git a/config/server.ini b/config/server.ini
+--- a/config/server.ini
++++ b/config/server.ini
+@@ -1,2 +1,2 @@
+ [server]
+-workers = 1
++workers = 4
+"""
+
+# lines that re.IGNORECASE matches but ``str.lower`` cannot find the needle
+# in ("ſ", "ı", the Kelvin sign), mixed case, and npm keys whose case matters
+ADVERSARIAL_FILES = {
+    "app/long_s.py": "DATABASE_URL = 'ſqlite:///conduit.db'\nfrom aioſqlite import connect\n",
+    "app/dotless.py": "ımport sqlite3\nfrom ASYNCPG import pool\n",
+    "app/kelvin.py": "ENGINE = 'django.db.bac\u212aends.sqlite3'\n",
+    "app/Mixed.py": "Import SQLite3\nURL = 'PostgreSQL+Psycopg2://u@Postgres/db'\n"
+                    "from SqlAlchemy.orm import Session\nhost: 'POSTGRES'\n",
+    "app/accent.js": "// café\nconst db = new Sequelize({ dialect: 'sqlite' });\n"
+                     "const pg = require('pg');\n",
+    "package.json": '{"dependencies": {"SQLite3": "5", "PG": "8", "Sequelize": "6",\n'
+                    '"pg-promise": "1", "better-sqlite3": "9", "sequelize": "6"}}\n',
+    "requirements.txt": "SQLAlchemy==2.0\n",
+}
+
+
+def _scan_corpus():
+    diffs = {variant: golden_patch(variant) for variant in ("layered", "monolithic")}
+    for defect, run_sh in BOOT_DEFECT_RUN_SH.items():
+        diffs[defect] = files_to_diff({**layered_files(), "run.sh": (run_sh, True)})
+    no_run_sh = layered_files()
+    del no_run_sh["run.sh"]
+    diffs["no_run_sh"] = files_to_diff(no_run_sh)
+    diffs["apply_reject"] = golden_patch("layered") + REJECTED_HUNK
+    patches = {name: apply_exclusions(parse_patch(diff)) for name, diff in diffs.items()}
+    for fixtures in (ARCH_FIXTURES, DB_FIXTURES, ORM_FIXTURES):
+        for name, (files, *_) in fixtures.items():
+            patches[f"fixture {name}"] = patch_from(files)
+    patches["adversarial"] = patch_from(ADVERSARIAL_FILES)
+    return patches
+
+
+def test_gated_scan_finds_what_every_regex_on_every_line_finds():
+    for name, patch in _scan_corpus().items():
+        for kind, patterns in EVIDENCE_PATTERNS.items():
+            assert verifiers._scan(patch, patterns) == ungated_scan(patch, patterns), (name, kind)
+    # the adversarial lines do match, so the comparison above is not vacuous
+    adversarial = patch_from(ADVERSARIAL_FILES)
+    found = {(path, match) for kind in ("sqlite", "postgres")
+             for path, _, match, _ in verifiers._scan(adversarial, EVIDENCE_PATTERNS[kind])}
+    assert {("app/long_s.py", "ſqlite://"), ("app/dotless.py", "ımport sqlite3"),
+            ("app/kelvin.py", "django.db.bac\u212aends.sqlite3"),
+            ("package.json", '"pg-promise":')} <= found
+    assert not any(path == "package.json" and match in ('"SQLite3":', '"PG":')
+                   for path, match in found)
+
+
+def _literal_runs(items) -> list[str]:
+    """The runs of consecutive literal characters at the top level of a
+    parsed pattern, lowercased."""
+    runs, run = [], ""
+    for op, arg in items:
+        if op is sre_parse.LITERAL:
+            run += chr(arg)
+        else:
+            runs.append(run)
+            run = ""
+    return [r.lower() for r in runs + [run] if r]
+
+
+def _requires_one_of(items, needles) -> bool:
+    """Whether every match of the parsed ``items`` holds one of ``needles``:
+    one sits in a top-level literal run, or in each branch of a top-level
+    alternation."""
+    if any(needle in run for run in _literal_runs(items) for needle in needles):
+        return True
+    for op, arg in items:
+        if op is sre_parse.SUBPATTERN and _requires_one_of(arg[-1], needles):
+            return True
+        if op is sre_parse.BRANCH and all(_requires_one_of(b, needles) for b in arg[1]):
+            return True
+    return False
+
+
+@pytest.mark.parametrize("kind", sorted(EVIDENCE_PATTERNS))
+def test_every_needle_is_a_literal_its_regex_cannot_match_without(kind):
+    for tag, regex, _, needles in EVIDENCE_PATTERNS[kind]:
+        assert needles and all(n == n.lower() for n in needles), tag
+        parsed = sre_parse.parse(regex.pattern, regex.flags)
+        assert _requires_one_of(list(parsed), needles), (tag, needles)
