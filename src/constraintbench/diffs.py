@@ -27,7 +27,7 @@ _PY_EXTENSIONS = {".py"}
 _JS_EXTENSIONS = {".js", ".mjs", ".cjs", ".ts"}
 
 _HUNK_RE = re.compile(r"^@@ -(\d+)(?:,(\d+))? \+(\d+)(?:,(\d+))? @@")
-_DIFF_GIT_RE = re.compile(r'^diff --git (?:"?a/(.*?)"?) (?:"?b/(.*?)"?)$')
+_DIFF_GIT_RE = re.compile(r'^diff --git (?:"?a/(.*?)"?) (?:"?b/(.*?)"?)\r?$', re.M)
 
 _PY_IMPORT_RE = re.compile(r"^\s*import\s+([A-Za-z_][\w.]*(?:\s*,\s*[A-Za-z_][\w.]*)*)")
 _PY_FROM_RE = re.compile(r"^\s*from\s+([.\w]+)\s+import\b")
@@ -152,8 +152,13 @@ def parse_patch(diff_text: str) -> PatchDocument:
         files.append(change)
         return change
 
-    lines = diff_text.splitlines()
+    # Lines end at "\n" only, as git reads them: "\x0c", "\x85" or a lone
+    # "\r" inside a line is content. One trailing "\r" goes, so CRLF parses.
+    lines = diff_text.split("\n")
+    if lines[-1] == "":
+        lines.pop()
     for idx, line in enumerate(lines, start=1):
+        line = line.removesuffix("\r")
         # While a hunk is open, interpret by prefix with line accounting: an
         # added "++ x" or deleted "-- x" line would otherwise masquerade as a
         # file header. The counters say when the hunk is really over.
@@ -236,19 +241,20 @@ def apply_exclusions(patch: PatchDocument) -> PatchDocument:
 def filter_excluded_sections(diff_text: str) -> str:
     """Drop whole per-file sections for excluded paths, byte-faithfully otherwise.
 
+    A section starts at a ``diff --git`` header at the start of a line, a line
+    ending at "\n" only; with no section excluded the input comes back as is.
     Used at patch-extraction time so generated artifacts never even reach the
     stored diff; exclusion marking at parse time stays as a second guard.
     """
-    if not diff_text.strip():
+    sections = [
+        (header.start(), is_excluded_path(header.group(2)))
+        for header in _DIFF_GIT_RE.finditer(diff_text)
+    ]
+    if not any(excluded for _, excluded in sections):
         return diff_text
-    kept: list[str] = []
-    keeping = True
-    for line in diff_text.splitlines(keepends=True):
-        header = _DIFF_GIT_RE.match(line.rstrip("\n"))
-        if header:
-            keeping = not is_excluded_path(header.group(2))
-        if keeping:
-            kept.append(line)
+    ends = [start for start, _ in sections[1:]] + [len(diff_text)]
+    kept = [diff_text[: sections[0][0]]]
+    kept += [diff_text[start:end] for (start, excluded), end in zip(sections, ends) if not excluded]
     return "".join(kept)
 
 

@@ -144,5 +144,6 @@ def write_recorded_tree(directory, assignments: dict[str, str]) -> None:
     """Lay out a recorded-provider directory: task_id -> variant name."""
     base = Path(directory)
     base.mkdir(parents=True, exist_ok=True)
+    patches = {variant: golden_patch(variant) for variant in set(assignments.values())}
     for task_id, variant in assignments.items():
-        (base / f"{task_id}.diff").write_text(golden_patch(variant), encoding="utf-8")
+        (base / f"{task_id}.diff").write_text(patches[variant], encoding="utf-8")

@@ -11,6 +11,7 @@ and the whole suite can be validated statically.
 from __future__ import annotations
 
 import csv
+import functools
 import http.client
 import io
 import json
@@ -101,7 +102,7 @@ class TestCollection:
         }
 
 
-@dataclass
+@dataclass(frozen=True, slots=True)
 class AssertionOutcome:
     folder: str
     request: str
@@ -109,6 +110,13 @@ class AssertionOutcome:
     kind: str
     passed: bool
     detail: str
+
+
+# Every passing outcome and every not-run one is the same for all runs of a
+# collection, so records share one immutable instance of each. The cache holds
+# at most the collection's assertions times (1 + the distinct not-run details);
+# failing outcomes carry response-specific details and never enter it.
+_shared_outcome = functools.cache(AssertionOutcome)
 
 
 @dataclass
@@ -183,14 +191,14 @@ class SuiteResult:
         for folder in collection.folders:
             for request in folder.requests:
                 for index, assertion in enumerate(request.assertions):
-                    if not_run is None:
-                        detail = failed.pop((folder.name, request.name, index), None)
+                    key = (folder.name, request.name, index, assertion.kind)
+                    if not_run is not None:
+                        outcome = _shared_outcome(*key, False, not_run)
+                    elif (detail := failed.pop(key[:3], None)) is None:
+                        outcome = _shared_outcome(*key, True, "ok")
                     else:
-                        detail = not_run
-                    result.per_assertion.append(AssertionOutcome(
-                        folder.name, request.name, index, assertion.kind,
-                        detail is None, "ok" if detail is None else detail,
-                    ))
+                        outcome = AssertionOutcome(*key, False, detail)
+                    result.per_assertion.append(outcome)
         if (
             failed
             or result.assertions_total != payload["assertions_total"]
@@ -479,10 +487,9 @@ def run_suite(
 
             for index, assertion in enumerate(request.assertions):
                 passed, detail = evaluate_assertion(assertion, status, body, variables)
+                build = _shared_outcome if passed else AssertionOutcome
                 result.per_assertion.append(
-                    AssertionOutcome(
-                        folder.name, request.name, index, assertion.kind, passed, detail
-                    )
+                    build(folder.name, request.name, index, assertion.kind, passed, detail)
                 )
             if isinstance(body, (dict, list)):
                 for var, capture_path in request.captures:
@@ -500,7 +507,7 @@ def unreachable_result(collection: TestCollection, detail: str) -> SuiteResult:
         for request in folder.requests:
             for index, assertion in enumerate(request.assertions):
                 result.per_assertion.append(
-                    AssertionOutcome(folder.name, request.name, index, assertion.kind, False, detail)
+                    _shared_outcome(folder.name, request.name, index, assertion.kind, False, detail)
                 )
     return result
 

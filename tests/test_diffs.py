@@ -250,6 +250,49 @@ def test_filter_excluded_sections_drops_whole_files():
     assert filtered == files_to_diff({"src/app.js": ("const x = 1;\n", False)})
 
 
+def test_filter_finds_headers_only_at_the_start_of_a_line():
+    # "\x85" ends a line for str.splitlines but not for git, so this added
+    # line is content, not the header of an excluded section.
+    sneaky = "s = '\x85diff --git a/node_modules/m.js b/node_modules/m.js'\nt = 2\n"
+    kept = {"src/a.py": (sneaky, False), "src/b.py": ("y = 2\n", False)}
+    diff = files_to_diff(kept)
+    assert filter_excluded_sections(diff) is diff
+    with_excluded = files_to_diff({**kept, "node_modules/pg/index.js": ("x;\n", False)})
+    assert filter_excluded_sections(with_excluded) == diff
+
+
+def test_crlf_diff_parses_and_filters_like_lf():
+    files = {
+        "src/app.py": ("import os\nx = 1\n", False),
+        "package-lock.json": ("{}\n", False),
+        "node_modules/m.js": ("m;\n", False),
+    }
+    lf = files_to_diff(files)
+    crlf = lf.replace("\n", "\r\n")
+    assert parse_patch(crlf).to_json() == parse_patch(lf).to_json()
+    assert parse_patch(crlf).files[-1].added_lines == [(1, "import os"), (2, "x = 1")]
+    kept = files_to_diff({"src/app.py": files["src/app.py"]})
+    assert filter_excluded_sections(lf) == kept
+    assert filter_excluded_sections(crlf) == kept.replace("\n", "\r\n")
+
+
+@pytest.mark.parametrize("separator", ["\x0c", "\x85", "\u2028", "\r", "\x1c"])
+def test_lines_end_at_newline_only_as_git_applies_them(separator, git_repo, tmp_path):
+    added = [f"x = 1{separator}", f"y = 2{separator}# note", "from repositories import store"]
+    diff = (
+        "diff --git a/app.py b/app.py\nnew file mode 100644\n--- /dev/null\n+++ b/app.py\n"
+        "@@ -0,0 +1,3 @@\n" + "".join(f"+{line}\n" for line in added)
+    )
+    patch_file = tmp_path / "the.diff"
+    patch_file.write_bytes(diff.encode("utf-8"))
+    run_git(["apply", str(patch_file)], git_repo)
+    written = (git_repo / "app.py").read_bytes().decode("utf-8").split("\n")[:-1]
+    parsed = [text for _, text in parse_patch(diff).files[0].added_lines]
+    assert written == added
+    # one trailing "\r" is read as the line ending of a CRLF diff
+    assert parsed == [line.removesuffix("\r") for line in written]
+
+
 @pytest.mark.parametrize(
     "line,target",
     [

@@ -3,6 +3,7 @@ import sys
 
 import pytest
 
+from constraintbench import golden
 from constraintbench.diffs import parse_patch
 from constraintbench.golden import (
     files_to_diff,
@@ -98,6 +99,22 @@ def test_write_recorded_tree(tmp_path):
     write_recorded_tree(tmp_path / "rec", {"task-a": "layered", "task-b": "monolithic"})
     assert (tmp_path / "rec" / "task-a.diff").exists()
     assert "app.py" in (tmp_path / "rec" / "task-b.diff").read_text()
+
+
+def test_write_recorded_tree_renders_each_variant_once(tmp_path, monkeypatch):
+    calls = []
+
+    def counting(variant):
+        calls.append(variant)
+        return golden_patch(variant)
+
+    monkeypatch.setattr(golden, "golden_patch", counting)
+    assignments = {f"task-{i}": ("layered", "monolithic")[i % 3 == 0] for i in range(9)}
+    write_recorded_tree(tmp_path, assignments)
+    assert sorted(calls) == ["layered", "monolithic"]
+    for task_id, variant in assignments.items():
+        stored = (tmp_path / f"{task_id}.diff").read_bytes()
+        assert stored == golden_patch(variant).encode("utf-8")
 
 
 def test_unknown_variant_rejected():

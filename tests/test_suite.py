@@ -1,9 +1,12 @@
 import contextlib
+import dataclasses
+import functools
 import json
 import socket
 import socketserver
 import threading
 import time
+import tracemalloc
 
 import pytest
 
@@ -308,6 +311,55 @@ def test_unreachable_result_shape(conduit_collection):
     assert result.assertions_total == 291
     assert result.assertions_passed == 0
     assert result.requests_executed == 0
+
+
+def test_runs_share_their_passing_outcomes(conduit_collection):
+    with ServerHandle(port=0) as server:
+        first = run_suite(conduit_collection, server.base_url)
+    with ServerHandle(port=0) as server:
+        second = run_suite(conduit_collection, server.base_url)
+    assert first.assertions_passed == second.assertions_passed == 291
+    assert first.per_assertion is not second.per_assertion
+    assert all(a is b for a, b in zip(first.per_assertion, second.per_assertion))
+
+
+def test_failing_outcomes_are_not_shared(conduit_collection, monkeypatch):
+    monkeypatch.setattr(suite, "_shared_outcome", functools.cache(suite.AssertionOutcome))
+    with ServerHandle(port=0, disabled=["comments"]) as server:
+        result = run_suite(conduit_collection, server.base_url)
+    assert len(result.failed()) == sum(COMMENT_REQUESTS.values())
+    assert suite._shared_outcome.cache_info().currsize == result.assertions_passed
+
+
+def test_outcomes_are_immutable(conduit_collection):
+    outcome = unreachable_result(conduit_collection, "server unreachable").per_assertion[0]
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        outcome.passed = True
+
+
+def test_unreachable_results_share_outcomes_not_lists(conduit_collection):
+    first = unreachable_result(conduit_collection, "server unreachable")
+    second = unreachable_result(conduit_collection, "server unreachable")
+    assert first.per_assertion is not second.per_assertion
+    assert all(a is b for a, b in zip(first.per_assertion, second.per_assertion))
+    assert len(first.per_assertion) == 291
+
+
+def test_many_suites_hold_one_set_of_outcomes(conduit_collection):
+    passing = unreachable_result(conduit_collection, "server unreachable").to_dict()
+    del passing["not_run"]
+    passing.update(failed=[], assertions_passed=291, requests_executed=32)
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        held = [unreachable_result(conduit_collection, "server exited") for _ in range(100)]
+        held += [SuiteResult.from_record(passing, conduit_collection) for _ in range(100)]
+        retained = tracemalloc.get_traced_memory()[0] - before
+    finally:
+        tracemalloc.stop()
+    assert sum(r.assertions_passed for r in held) == 100 * 291
+    # 200 lists of 291 references take about 0.5 MB; an instance per outcome, 8 MB
+    assert retained < 1_000_000
 
 
 def test_suite_csv_row_count(conduit_collection):
