@@ -11,6 +11,7 @@ against.
 
 from __future__ import annotations
 
+import functools
 import json
 import logging
 import os
@@ -21,6 +22,7 @@ import socket
 import subprocess
 import tempfile
 import time
+from collections.abc import Callable
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -218,21 +220,27 @@ class RunRecord:
         return json.dumps(self.to_dict(), indent=2, sort_keys=True)
 
 
-def _git(args: list[str], cwd: Path, check: bool = True) -> subprocess.CompletedProcess:
+def _start_git(args: list[str], cwd: Path) -> subprocess.Popen:
+    """Start ``git args`` in ``cwd`` with its output piped as text."""
     # The ceiling keeps git from finding a repository above the run's
     # directory: inside one, ``git apply`` skips every path outside the
     # subdirectory it runs in and still exits 0.
-    result = subprocess.run(
-        ["git", *args], cwd=cwd, capture_output=True, text=True,
+    return subprocess.Popen(
+        ["git", *args], cwd=cwd, stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True,
         env={
             **os.environ,
             "GIT_TERMINAL_PROMPT": "0",
             "GIT_CEILING_DIRECTORIES": str(Path(cwd).resolve().parent),
         },
     )
-    if check and result.returncode != 0:
-        raise TaskSetupError(f"git {' '.join(args)} failed: {result.stderr.strip()}")
-    return result
+
+
+def _git(args: list[str], cwd: Path, check: bool = True) -> subprocess.CompletedProcess:
+    with _start_git(args, cwd) as process:
+        stdout, stderr = process.communicate()
+    if check and process.returncode != 0:
+        raise TaskSetupError(f"git {' '.join(args)} failed: {stderr.strip()}")
+    return subprocess.CompletedProcess(process.args, process.returncode, stdout, stderr)
 
 
 def _make_workspace(task: TaskSpec, port: int, config: HarnessConfig) -> Workspace:
@@ -359,34 +367,51 @@ def _group_alive(process: subprocess.Popen) -> bool:
     try:
         os.killpg(process.pid, 0)
     except ProcessLookupError:
+        _live_members.pop(process.pid, None)
         return False
     except PermissionError:
         return True
     return process.returncode is None or _group_has_live_member(process.pid)
 
 
+# process group -> the member that the last scan of /proc found alive in it
+_live_members: dict[int, int] = {}
+
+
 def _group_has_live_member(pgid: int) -> bool:
     """Whether ``/proc`` shows a process of group ``pgid`` that is not a
     zombie; True when ``/proc`` is missing or belongs to another PID
-    namespace, since it cannot tell then."""
+    namespace, since it cannot tell then. The member found last is asked
+    first, so all of ``/proc`` is scanned again only once it has exited or
+    left the group."""
+    member = _live_members.get(pgid)
+    if member is not None and _is_live_member(member, pgid):
+        return True
     try:
         with open("/proc/self/stat", "rb") as handle:
             if int(handle.read().split()[0]) != os.getpid():
                 return True
-        pids = [name for name in os.listdir("/proc") if name.isdigit()]
+        pids = [int(name) for name in os.listdir("/proc") if name.isdigit()]
     except (OSError, ValueError):
         return True
     for pid in pids:
-        try:
-            with open(f"/proc/{pid}/stat", "rb") as handle:
-                stat = handle.read()
-        except OSError:
-            continue  # exited meanwhile
-        # "pid (comm) state ppid pgrp ...": comm may hold spaces and ")"
-        state, _, pgrp = stat[stat.rindex(b")") + 2:].split()[:3]
-        if int(pgrp) == pgid and state != b"Z":
+        if _is_live_member(pid, pgid):
+            _live_members[pgid] = pid
             return True
+    _live_members.pop(pgid, None)
     return False
+
+
+def _is_live_member(pid: int, pgid: int) -> bool:
+    """Whether ``/proc`` shows ``pid`` in group ``pgid`` and not a zombie."""
+    try:
+        with open(f"/proc/{pid}/stat", "rb") as handle:
+            stat = handle.read()
+    except OSError:
+        return False  # exited meanwhile
+    # "pid (comm) state ppid pgrp ...": comm may hold spaces and ")"
+    state, _, pgrp = stat[stat.rindex(b")") + 2:].split()[:3]
+    return int(pgrp) == pgid and state != b"Z"
 
 
 def _signal_group(process: subprocess.Popen, signum: int):
@@ -443,17 +468,24 @@ def evaluate_phase(
     config = config or HarnessConfig.from_env()
     started_at = time.monotonic()
     log_parts: list[str] = []
-
     diff = filter_excluded_sections(diff_text)
-    try:
-        patch_doc = parse_patch(diff)
-    except PatchParseError as exc:
-        log_parts.append(f"patch parse error: {exc}")
-        patch_doc = PatchDocument()
-    verdict = structural_compliance(task, patch_doc, config.aliases)
-    del patch_doc  # not kept: the verdicts re-derive from ``diff``
 
-    outcome, suite = _run_stages(task, diff, collection, config, port, log_parts)
+    @functools.cache
+    def verify() -> tuple[tuple[bool, list], str | None]:
+        """``structural_compliance``'s verdict, and the parse error if any.
+        The parsed patch is not kept: the verdicts re-derive from ``diff``."""
+        try:
+            patch_doc, error = parse_patch(diff), None
+        except PatchParseError as exc:
+            patch_doc, error = PatchDocument(), f"patch parse error: {exc}"
+        return structural_compliance(task, patch_doc, config.aliases), error
+
+    # _run_stages verifies while `git apply` runs; a run that never gets
+    # that far is verified here, once it has ended
+    outcome, suite = _run_stages(task, diff, collection, config, port, log_parts, verify)
+    verdict, parse_error = verify()
+    if parse_error:
+        log_parts.insert(0, parse_error)
     return RunRecord.of(
         task, trial, outcome, "\n".join(log_parts), collection, suite=suite, diff=diff,
         verdict=verdict, labels=labels, token_usage=token_usage,
@@ -463,11 +495,12 @@ def evaluate_phase(
 
 def _run_stages(
     task: TaskSpec, diff: str, collection: TestCollection, config: HarnessConfig,
-    port: int | None, log_parts: list[str],
+    port: int | None, log_parts: list[str], verify: Callable[[], object],
 ) -> tuple[str, SuiteResult | None]:
     """The stages of one evaluation, in order: env check, workspace, apply,
     setup, port probe, launch, health, suite. The first stage that ends the
-    run gives its outcome; only ``"ok"`` comes with the suite's result."""
+    run gives its outcome; only ``"ok"`` comes with the suite's result.
+    ``verify`` is called while ``git apply`` runs, if it runs."""
     if task.constraints.database == "postgres" and not config.pg_url:
         log_parts.append("environment-skipped: postgres task without PG_URL")
         return "env_skipped", None
@@ -483,11 +516,15 @@ def _run_stages(
         if diff.strip():
             patch_file = workspace.meta / "changes.diff"
             patch_file.write_text(diff, encoding="utf-8")
-            applied = _git(
-                ["apply", "--whitespace=nowarn", str(patch_file)], workspace.root, check=False
-            )
-            if applied.returncode != 0:
-                log_parts.append(f"git apply failed: {applied.stderr.strip()}")
+            with _start_git(
+                ["apply", "--whitespace=nowarn", str(patch_file)], workspace.root
+            ) as applying:
+                try:
+                    verify()
+                finally:
+                    _, stderr = applying.communicate()
+            if applying.returncode != 0:
+                log_parts.append(f"git apply failed: {stderr.strip()}")
                 return "apply_failed", None
         else:
             log_parts.append("empty diff: nothing to apply")

@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import os
 import signal
@@ -630,6 +631,30 @@ def test_group_alive_ignores_zombie_orphans(tmp_path):
     assert waited < 0.3 + 0.5
 
 
+def test_group_alive_scans_proc_again_only_once_its_member_is_gone(monkeypatch):
+    scans = []
+    real_listdir = os.listdir
+
+    def listdir(path="."):
+        if str(path) == "/proc":
+            scans.append(path)
+        return real_listdir(path)
+
+    monkeypatch.setattr(harness.os, "listdir", listdir)
+    process = subprocess.Popen(["bash", "-c", "sleep 30 & exit 0"], start_new_session=True)
+    try:
+        process.wait(timeout=5)
+        assert all(harness._group_alive(process) for _ in range(50))
+        assert len(scans) <= 1
+        os.killpg(process.pid, signal.SIGKILL)
+        deadline = time.monotonic() + 5
+        while harness._group_alive(process) and time.monotonic() < deadline:
+            time.sleep(0.01)
+        assert harness._group_alive(process) is False
+    finally:
+        harness._terminate(process, 1.0)
+
+
 def test_terminate_returns_only_once_the_group_is_gone(monkeypatch):
     # a server that outlived run.sh is not its child to reap, and SIGKILL
     # takes effect later: teardown must wait until the group reads empty
@@ -767,15 +792,16 @@ def test_evidence_from_a_partial_failure_record(stored_runs):
 
 
 def record_subprocess_runs(monkeypatch) -> list:
-    """Record the argv of every ``subprocess.run`` the harness makes."""
+    """Record the argv of every process the harness starts: ``subprocess.run``
+    starts its process through ``subprocess.Popen`` too."""
     calls = []
-    real_run = subprocess.run
+    real_popen = subprocess.Popen
 
     def spy(args, *rest, **kwargs):
         calls.append(args)
-        return real_run(args, *rest, **kwargs)
+        return real_popen(args, *rest, **kwargs)
 
-    monkeypatch.setattr(harness.subprocess, "run", spy)
+    monkeypatch.setattr(harness.subprocess, "Popen", spy)
     return calls
 
 
@@ -793,6 +819,177 @@ def test_evaluate_empty_diff_runs_no_git(monkeypatch, mini_collection, config, f
     assert record.patch_applied is True
     assert "empty diff: nothing to apply" in record.logs
     assert calls == []
+
+
+def test_evaluate_verifies_while_git_apply_runs(monkeypatch, mini_collection, config, flask_l0):
+    events = []
+    real_popen = subprocess.Popen
+
+    class SpyPopen(real_popen):
+        def __init__(self, args, *rest, **kwargs):
+            super().__init__(args, *rest, **kwargs)
+            self.applies = args[:2] == ["git", "apply"]
+            if self.applies:
+                events.append("apply started")
+
+        def communicate(self, *args, **kwargs):
+            if self.applies:
+                events.append("apply waited")
+            return super().communicate(*args, **kwargs)
+
+        def wait(self, *args, **kwargs):
+            if self.applies:
+                events.append("apply waited")
+            return super().wait(*args, **kwargs)
+
+    def spied(name):
+        real = getattr(harness, name)
+
+        def spy(*args, **kwargs):
+            events.append(name)
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(harness, name, spy)
+
+    monkeypatch.setattr(harness.subprocess, "Popen", SpyPopen)
+    spied("parse_patch")
+    spied("structural_compliance")
+    record = evaluate_phase(flask_l0, files_to_diff({"app.py": ("x = 1\n", False)}),
+                            mini_collection, config=config)
+    assert record.outcome == "no_run_sh"
+    assert events[:4] == ["apply started", "parse_patch", "structural_compliance", "apply waited"]
+    assert events.count("parse_patch") == events.count("structural_compliance") == 1
+
+
+def _no_workspace(*args, **kwargs):
+    raise TaskSetupError("no room")
+
+
+@pytest.mark.parametrize("scenario, outcome", [
+    ("env_skipped", "env_skipped"), ("setup_error", "setup_error"),
+    ("empty_diff", "no_run_sh"), ("parse_error", "apply_failed"),
+])
+def test_each_run_is_verified_once(
+    scenario, outcome, monkeypatch, mini_collection, config, flask_l0
+):
+    events = []
+    real_compliance = harness.structural_compliance
+    real_stages = harness._run_stages
+
+    def verifier(*args, **kwargs):
+        events.append("verified")
+        return real_compliance(*args, **kwargs)
+
+    def stages(*args, **kwargs):
+        try:
+            return real_stages(*args, **kwargs)
+        finally:
+            events.append("stages ended")
+
+    monkeypatch.setattr(harness, "structural_compliance", verifier)
+    monkeypatch.setattr(harness, "_run_stages", stages)
+    task, diff = flask_l0, ""
+    if scenario == "env_skipped":
+        task, diff = _l3_task("postgres"), golden_patch("layered")
+    elif scenario == "setup_error":
+        monkeypatch.setattr(harness, "_make_workspace", _no_workspace)
+    elif scenario == "parse_error":
+        diff = "diff --git a/x b/x\n@@ nonsense"
+    record = evaluate_phase(task, diff, mini_collection, config=config)
+    assert record.outcome == outcome
+    # a diff that reaches `git apply` is verified while it runs
+    applied = scenario == "parse_error"
+    assert events == (["verified", "stages ended"] if applied else ["stages ended", "verified"])
+    assert record.logs.startswith("patch parse error:") is applied
+    patch = harness.PatchDocument() if applied else parse_patch(diff)
+    expected = real_compliance(task, patch)[1]
+    assert [r.to_dict() for r in record.verifier_reports] == [r.to_dict() for r in expected]
+
+
+def test_a_verifier_that_raises_during_the_apply_leaves_nothing_behind(
+    monkeypatch, tmp_path, mini_collection, config, flask_l0
+):
+    applies = []
+    real_popen = subprocess.Popen
+
+    def spy(args, *rest, **kwargs):
+        process = real_popen(args, *rest, **kwargs)
+        if args[:2] == ["git", "apply"]:
+            applies.append(process)
+        return process
+
+    def broken(*args, **kwargs):
+        [applying] = applies
+        assert applying.returncode is None  # started, not yet waited for
+        raise RuntimeError("verifier broke")
+
+    monkeypatch.setattr(harness.subprocess, "Popen", spy)
+    monkeypatch.setattr(harness, "structural_compliance", broken)
+    patches = tmp_path / "patches"
+    patches.mkdir()
+    (patches / f"{flask_l0.id}.diff").write_text(files_to_diff({"app.py": ("x = 1\n", False)}))
+    provider = PatchProvider("recorded_directory", str(patches))
+    [record] = run_campaign([flask_l0], provider, 1, mini_collection, config=config)
+    assert record.outcome == "internal_error"
+    assert record.logs == "internal error: RuntimeError('verifier broke')"
+    [applying] = applies
+    assert applying.returncode is not None  # reaped
+    assert list(Path(config.workspace_root).iterdir()) == []
+
+
+def test_overlapped_verification_keeps_every_record(
+    monkeypatch, tmp_path, mini_collection, flask_l0
+):
+    """Records equal those of the earlier order, where the patch was parsed
+    and verified before the workspace was made, apart from ``wall_time``."""
+    config = HarnessConfig(
+        port_pool=[8105], health_interval=0.1, health_max_attempts=13, health_total_timeout=20,
+        workspace_root=str(tmp_path / "ws"), pg_url=None,
+    )
+    no_run_sh = layered_files()
+    del no_run_sh["run.sh"]
+    runs = {
+        "golden": (_l3_task(), golden_patch("layered")),
+        "golden-monolithic": (flask_l0, golden_patch("monolithic")),
+        "crash": (_l3_task(), _layered_with_run_sh(
+            "#!/bin/sh\necho 'fatal: cannot open database' >&2\nexit 3\n")),
+        "never_listens": (_l3_task(), _layered_with_run_sh("#!/bin/sh\nexec sleep 600\n")),
+        "late_boot": (_l3_task(), _layered_with_run_sh(
+            "#!/bin/sh\nsleep 0.4\nexec python3 server.py\n")),
+        "no_run_sh": (_l3_task(), files_to_diff(no_run_sh)),
+        "apply_reject": (_l3_task(), golden_patch("layered") + REJECTED_HUNK),
+        "parse_error": (flask_l0, "diff --git a/x b/x\n@@ nonsense"),
+        "env_skipped": (_l3_task("postgres"), golden_patch("layered")),
+    }
+    tasks = []
+    patches = tmp_path / "patches"
+    patches.mkdir()
+    for name, (task, diff) in runs.items():
+        tasks.append(dataclasses.replace(task, id=f"{task.id}-{name}"))
+        (patches / f"{tasks[-1].id}.diff").write_text(diff, encoding="utf-8")
+    provider = PatchProvider("recorded_directory", str(patches))
+
+    def campaign():
+        records = run_campaign(tasks, provider, 1, mini_collection, config=config)
+        return [dict(record.to_dict(), wall_time=None) for record in records]
+
+    overlapped = campaign()
+    real_stages = harness._run_stages
+
+    def verify_first(task, diff, collection, config, port, log_parts, verify):
+        verify()
+        return real_stages(task, diff, collection, config, port, log_parts, verify)
+
+    monkeypatch.setattr(harness, "_run_stages", verify_first)
+    assert overlapped == campaign()
+    assert [r["outcome"] for r in overlapped] == [
+        "ok", "ok", "server_exited", "health_timeout", "ok", "no_run_sh", "apply_failed",
+        "apply_failed", "env_skipped",
+    ]
+    assert overlapped[7]["logs"].startswith("patch parse error:")
+    assert [r["structurally_compliant"] for r in overlapped] == [
+        True, True, True, True, True, True, True, True, False,
+    ]
 
 
 # Changes a file the empty tree lacks, so `git apply` rejects the whole patch.

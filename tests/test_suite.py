@@ -1,12 +1,15 @@
 import contextlib
 import dataclasses
 import functools
+import importlib.util
 import json
 import socket
 import socketserver
 import threading
 import time
 import tracemalloc
+from importlib import resources
+from pathlib import Path
 
 import pytest
 
@@ -39,6 +42,16 @@ def test_shipped_collection_static_counts(conduit_collection):
     assert counts["assertions"] == 291
     per_folder = {f["name"]: (f["requests"], f["assertions"]) for f in counts["folders"]}
     assert per_folder == TABLE_COUNTS
+
+
+def test_shipped_collection_is_what_the_build_tool_writes():
+    tool = Path(__file__).resolve().parents[1] / "tools" / "build_collection.py"
+    spec = importlib.util.spec_from_file_location("build_collection", tool)
+    build_collection = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(build_collection)
+    shipped = resources.files("constraintbench").joinpath("assets/collections/conduit.json")
+    built = json.dumps(build_collection.build(), indent=2) + "\n"
+    assert built.encode("utf-8") == shipped.read_bytes()
 
 
 def test_empty_collection_is_valid():
