@@ -367,51 +367,34 @@ def _group_alive(process: subprocess.Popen) -> bool:
     try:
         os.killpg(process.pid, 0)
     except ProcessLookupError:
-        _live_members.pop(process.pid, None)
         return False
     except PermissionError:
         return True
     return process.returncode is None or _group_has_live_member(process.pid)
 
 
-# process group -> the member that the last scan of /proc found alive in it
-_live_members: dict[int, int] = {}
-
-
 def _group_has_live_member(pgid: int) -> bool:
     """Whether ``/proc`` shows a process of group ``pgid`` that is not a
     zombie; True when ``/proc`` is missing or belongs to another PID
-    namespace, since it cannot tell then. The member found last is asked
-    first, so all of ``/proc`` is scanned again only once it has exited or
-    left the group."""
-    member = _live_members.get(pgid)
-    if member is not None and _is_live_member(member, pgid):
-        return True
+    namespace, since it cannot tell then."""
     try:
         with open("/proc/self/stat", "rb") as handle:
             if int(handle.read().split()[0]) != os.getpid():
                 return True
-        pids = [int(name) for name in os.listdir("/proc") if name.isdigit()]
+        pids = [name for name in os.listdir("/proc") if name.isdigit()]
     except (OSError, ValueError):
         return True
     for pid in pids:
-        if _is_live_member(pid, pgid):
-            _live_members[pgid] = pid
+        try:
+            with open(f"/proc/{pid}/stat", "rb") as handle:
+                stat = handle.read()
+        except OSError:
+            continue  # exited meanwhile
+        # "pid (comm) state ppid pgrp ...": comm may hold spaces and ")"
+        state, _, pgrp = stat[stat.rindex(b")") + 2:].split()[:3]
+        if int(pgrp) == pgid and state != b"Z":
             return True
-    _live_members.pop(pgid, None)
     return False
-
-
-def _is_live_member(pid: int, pgid: int) -> bool:
-    """Whether ``/proc`` shows ``pid`` in group ``pgid`` and not a zombie."""
-    try:
-        with open(f"/proc/{pid}/stat", "rb") as handle:
-            stat = handle.read()
-    except OSError:
-        return False  # exited meanwhile
-    # "pid (comm) state ppid pgrp ...": comm may hold spaces and ")"
-    state, _, pgrp = stat[stat.rindex(b")") + 2:].split()[:3]
-    return int(pgrp) == pgid and state != b"Z"
 
 
 def _signal_group(process: subprocess.Popen, signum: int):

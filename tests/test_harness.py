@@ -631,30 +631,6 @@ def test_group_alive_ignores_zombie_orphans(tmp_path):
     assert waited < 0.3 + 0.5
 
 
-def test_group_alive_scans_proc_again_only_once_its_member_is_gone(monkeypatch):
-    scans = []
-    real_listdir = os.listdir
-
-    def listdir(path="."):
-        if str(path) == "/proc":
-            scans.append(path)
-        return real_listdir(path)
-
-    monkeypatch.setattr(harness.os, "listdir", listdir)
-    process = subprocess.Popen(["bash", "-c", "sleep 30 & exit 0"], start_new_session=True)
-    try:
-        process.wait(timeout=5)
-        assert all(harness._group_alive(process) for _ in range(50))
-        assert len(scans) <= 1
-        os.killpg(process.pid, signal.SIGKILL)
-        deadline = time.monotonic() + 5
-        while harness._group_alive(process) and time.monotonic() < deadline:
-            time.sleep(0.01)
-        assert harness._group_alive(process) is False
-    finally:
-        harness._terminate(process, 1.0)
-
-
 def test_terminate_returns_only_once_the_group_is_gone(monkeypatch):
     # a server that outlived run.sh is not its child to reap, and SIGKILL
     # takes effect later: teardown must wait until the group reads empty
@@ -821,9 +797,21 @@ def test_evaluate_empty_diff_runs_no_git(monkeypatch, mini_collection, config, f
     assert calls == []
 
 
-def test_evaluate_verifies_while_git_apply_runs(monkeypatch, mini_collection, config, flask_l0):
+def _no_workspace(*args, **kwargs):
+    raise TaskSetupError("no room")
+
+
+@pytest.mark.parametrize("scenario, outcome", [
+    ("env_skipped", "env_skipped"), ("setup_error", "setup_error"),
+    ("empty_diff", "no_run_sh"), ("applied", "no_run_sh"), ("parse_error", "apply_failed"),
+])
+def test_each_run_is_verified_once(
+    scenario, outcome, monkeypatch, mini_collection, config, flask_l0
+):
     events = []
     real_popen = subprocess.Popen
+    real_compliance = harness.structural_compliance
+    real_stages = harness._run_stages
 
     class SpyPopen(real_popen):
         def __init__(self, args, *rest, **kwargs):
@@ -833,52 +821,26 @@ def test_evaluate_verifies_while_git_apply_runs(monkeypatch, mini_collection, co
                 events.append("apply started")
 
         def communicate(self, *args, **kwargs):
-            if self.applies:
-                events.append("apply waited")
+            self._waited()
             return super().communicate(*args, **kwargs)
 
         def wait(self, *args, **kwargs):
-            if self.applies:
-                events.append("apply waited")
+            self._waited()
             return super().wait(*args, **kwargs)
 
-    def spied(name):
+        def _waited(self):
+            if self.applies:
+                events.append("apply waited")
+                self.applies = False
+
+    def spied(name, event):
         real = getattr(harness, name)
 
         def spy(*args, **kwargs):
-            events.append(name)
+            events.append(event)
             return real(*args, **kwargs)
 
         monkeypatch.setattr(harness, name, spy)
-
-    monkeypatch.setattr(harness.subprocess, "Popen", SpyPopen)
-    spied("parse_patch")
-    spied("structural_compliance")
-    record = evaluate_phase(flask_l0, files_to_diff({"app.py": ("x = 1\n", False)}),
-                            mini_collection, config=config)
-    assert record.outcome == "no_run_sh"
-    assert events[:4] == ["apply started", "parse_patch", "structural_compliance", "apply waited"]
-    assert events.count("parse_patch") == events.count("structural_compliance") == 1
-
-
-def _no_workspace(*args, **kwargs):
-    raise TaskSetupError("no room")
-
-
-@pytest.mark.parametrize("scenario, outcome", [
-    ("env_skipped", "env_skipped"), ("setup_error", "setup_error"),
-    ("empty_diff", "no_run_sh"), ("parse_error", "apply_failed"),
-])
-def test_each_run_is_verified_once(
-    scenario, outcome, monkeypatch, mini_collection, config, flask_l0
-):
-    events = []
-    real_compliance = harness.structural_compliance
-    real_stages = harness._run_stages
-
-    def verifier(*args, **kwargs):
-        events.append("verified")
-        return real_compliance(*args, **kwargs)
 
     def stages(*args, **kwargs):
         try:
@@ -886,22 +848,32 @@ def test_each_run_is_verified_once(
         finally:
             events.append("stages ended")
 
-    monkeypatch.setattr(harness, "structural_compliance", verifier)
+    monkeypatch.setattr(harness.subprocess, "Popen", SpyPopen)
+    spied("parse_patch", "parsed")
+    spied("structural_compliance", "verified")
     monkeypatch.setattr(harness, "_run_stages", stages)
     task, diff = flask_l0, ""
     if scenario == "env_skipped":
         task, diff = _l3_task("postgres"), golden_patch("layered")
     elif scenario == "setup_error":
         monkeypatch.setattr(harness, "_make_workspace", _no_workspace)
+    elif scenario == "applied":
+        diff = files_to_diff({"app.py": ("x = 1\n", False)})
     elif scenario == "parse_error":
         diff = "diff --git a/x b/x\n@@ nonsense"
     record = evaluate_phase(task, diff, mini_collection, config=config)
     assert record.outcome == outcome
-    # a diff that reaches `git apply` is verified while it runs
-    applied = scenario == "parse_error"
-    assert events == (["verified", "stages ended"] if applied else ["stages ended", "verified"])
-    assert record.logs.startswith("patch parse error:") is applied
-    patch = harness.PatchDocument() if applied else parse_patch(diff)
+    # a diff that reaches `git apply` is verified after git starts and
+    # before it is waited for; any other run once its stages have ended
+    if scenario in ("applied", "parse_error"):
+        assert events == [
+            "apply started", "parsed", "verified", "apply waited", "stages ended",
+        ]
+    else:
+        assert events == ["stages ended", "parsed", "verified"]
+    parse_error = scenario == "parse_error"
+    assert record.logs.startswith("patch parse error:") is parse_error
+    patch = harness.PatchDocument() if parse_error else parse_patch(diff)
     expected = real_compliance(task, patch)[1]
     assert [r.to_dict() for r in record.verifier_reports] == [r.to_dict() for r in expected]
 
