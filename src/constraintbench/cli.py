@@ -116,7 +116,7 @@ def cmd_run_suite(args) -> int:
         out = Path(args.out)
         out.mkdir(parents=True, exist_ok=True)
         (out / "suite_result.json").write_text(result.to_json(), encoding="utf-8")
-        (out / "suite_result.csv").write_text(result.to_csv(), encoding="utf-8")
+        (out / "suite_result.csv").write_text(result.to_csv(collection), encoding="utf-8")
     print(
         f"{result.assertions_passed}/{result.assertions_total} assertions passed "
         f"({result.requests_executed} requests executed)"

@@ -95,7 +95,6 @@ class PatchDocument:
 class ImportStatement:
     source_file: str
     line_number: int
-    raw_text: str
     target: str
 
 
@@ -272,22 +271,22 @@ def extract_imports(change: FileChange) -> list[ImportStatement]:
         if language == "python":
             from_match = _PY_FROM_RE.match(text)
             if from_match:
-                found.append(ImportStatement(change.path, line_number, text, from_match.group(1)))
+                found.append(ImportStatement(change.path, line_number, from_match.group(1)))
                 continue
             import_match = _PY_IMPORT_RE.match(text)
             if import_match:
                 for target in import_match.group(1).split(","):
                     target = target.strip().split(" ")[0]
                     if target:
-                        found.append(ImportStatement(change.path, line_number, text, target))
+                        found.append(ImportStatement(change.path, line_number, target))
         else:
             for match in _JS_REQUIRE_RE.finditer(text):
-                found.append(ImportStatement(change.path, line_number, text, match.group(1)))
+                found.append(ImportStatement(change.path, line_number, match.group(1)))
             from_match = _JS_IMPORT_FROM_RE.match(text)
             if from_match:
-                found.append(ImportStatement(change.path, line_number, text, from_match.group(1)))
+                found.append(ImportStatement(change.path, line_number, from_match.group(1)))
             else:
                 bare = _JS_IMPORT_BARE_RE.match(text)
                 if bare:
-                    found.append(ImportStatement(change.path, line_number, text, bare.group(1)))
+                    found.append(ImportStatement(change.path, line_number, bare.group(1)))
     return found

@@ -106,7 +106,7 @@ class Workspace:
 @dataclass
 class BuildResult:
     diff_text: str
-    logs: str
+    logs: str  # the provider command's exit code and output
     token_usage: dict | None = None
 
 
@@ -330,7 +330,7 @@ def build_phase(
             token_usage = json.loads(tokens_path.read_text())
         return BuildResult(
             diff_text=diff_path.read_text(encoding="utf-8"),
-            logs=f"recorded diff: {diff_path}",
+            logs="",
             token_usage=token_usage,
         )
 
@@ -599,6 +599,8 @@ def run_one(
             labels=labels,
             port=port,
         )
+        if build.logs:
+            record.logs = "\n".join(filter(None, [record.logs, "--- provider ---", build.logs]))
     record.wall_time = time.monotonic() - started_at
     return record
 

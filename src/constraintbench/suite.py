@@ -11,7 +11,6 @@ and the whole suite can be validated statically.
 from __future__ import annotations
 
 import csv
-import functools
 import http.client
 import io
 import json
@@ -83,7 +82,6 @@ class Folder:
 class TestCollection:
     name: str
     folders: list[Folder] = field(default_factory=list)
-    declared_globals: list[str] = field(default_factory=list)
     global_defaults: dict = field(default_factory=dict)
 
     def static_counts(self) -> dict:
@@ -112,73 +110,80 @@ class AssertionOutcome:
     detail: str
 
 
-# Every passing outcome and every not-run one is the same for all runs of a
-# collection, so records share one immutable instance of each. The cache holds
-# at most the collection's assertions times (1 + the distinct not-run details);
-# failing outcomes carry response-specific details and never enter it.
-_shared_outcome = functools.cache(AssertionOutcome)
-
-
 @dataclass
 class SuiteResult:
+    """A suite's outcome in its stored form: counts, per-folder tallies
+    (``{folder: [passed, total]}``) and the failing outcomes in collection
+    order. A suite none of whose requests got a response, and whose
+    assertions all failed with one detail, holds that detail as ``not_run``
+    and no rows."""
+
     name: str
-    per_assertion: list[AssertionOutcome] = field(default_factory=list)
     requests_executed: int = 0
+    assertions_total: int = 0
+    assertions_passed: int = 0
+    folders: dict[str, list[int]] = field(default_factory=dict)
+    failures: list[AssertionOutcome] = field(default_factory=list)
+    not_run: str | None = None
 
-    @property
-    def assertions_total(self) -> int:
-        return len(self.per_assertion)
+    def _count(self, folder: str, request: str, index: int, kind: str, passed: bool,
+               detail: str | None):
+        tally = self.folders.setdefault(folder, [0, 0])
+        tally[0] += passed
+        tally[1] += 1
+        self.assertions_passed += passed
+        self.assertions_total += 1
+        if not passed:
+            self.failures.append(AssertionOutcome(folder, request, index, kind, False, detail))
 
-    @property
-    def assertions_passed(self) -> int:
-        return sum(outcome.passed for outcome in self.per_assertion)
+    def _settle(self) -> "SuiteResult":
+        """Applies the ``not_run`` rule once every outcome is counted."""
+        details = {o.detail for o in self.failures}
+        if self.requests_executed == 0 and self.assertions_passed == 0 and len(details) == 1:
+            self.not_run, self.failures = details.pop(), []
+        return self
 
     def failed(self) -> list[AssertionOutcome]:
-        return [o for o in self.per_assertion if not o.passed]
+        """The failing outcomes in collection order; none for a ``not_run``
+        suite, whose assertions all failed with ``not_run`` as their detail."""
+        return list(self.failures)
 
     def to_dict(self) -> dict:
-        """Stored form: the counts, the failing outcomes and per-folder
-        tallies. Passing outcomes all read "ok" in collection order, so
-        ``from_record`` rebuilds them. A suite whose requests never got a
-        response and whose assertions all failed with one detail is stored
-        as ``not_run`` with that detail and no rows."""
         payload = {
             "name": self.name,
             "requests_executed": self.requests_executed,
             "assertions_total": self.assertions_total,
             "assertions_passed": self.assertions_passed,
-            "folders": {},
+            "folders": {folder: list(tally) for folder, tally in self.folders.items()},
         }
-        for o in self.per_assertion:
-            tally = payload["folders"].setdefault(o.folder, [0, 0])
-            tally[0] += o.passed
-            tally[1] += 1
-        details = {o.detail for o in self.per_assertion}
-        if self.requests_executed == 0 and self.assertions_passed == 0 and len(details) == 1:
-            payload["not_run"] = details.pop()
+        if self.not_run is not None:
+            payload["not_run"] = self.not_run
         else:
             payload["failed"] = [
                 {"folder": o.folder, "request": o.request, "index": o.index,
                  "kind": o.kind, "detail": o.detail}
-                for o in self.failed()
+                for o in self.failures
             ]
         return payload
 
     def to_json(self) -> str:
         return json.dumps(self.to_dict(), indent=2, sort_keys=True)
 
-    def to_csv(self) -> str:
+    def to_csv(self, collection: TestCollection) -> str:
+        """One row per assertion of ``collection``, the collection this suite ran."""
+        failed = {(o.folder, o.request, o.index): o.detail for o in self.failures}
         buffer = io.StringIO()
         writer = csv.writer(buffer, lineterminator="\n")
         writer.writerow(["folder", "request", "index", "kind", "passed", "detail"])
-        for o in self.per_assertion:
-            writer.writerow([o.folder, o.request, o.index, o.kind, o.passed, o.detail])
+        for key in _assertion_keys(collection):
+            detail = self.not_run if self.not_run is not None else failed.get(key[:3])
+            writer.writerow([*key, detail is None, "ok" if detail is None else detail])
         return buffer.getvalue()
 
     @classmethod
     def from_record(cls, payload: dict, collection: TestCollection) -> "SuiteResult":
-        """Rebuild the full result from its ``to_dict`` form and the
-        collection it ran; raises ValueError when the two do not match."""
+        """Read the ``to_dict`` form of a run of ``collection``; raises
+        ValueError when the two do not match."""
         keys = [(f.name, r.name) for f in collection.folders for r in f.requests]
         if len(set(keys)) != len(keys):
             raise ValueError("collection repeats a request name within a folder")
@@ -188,24 +193,24 @@ class SuiteResult:
             for row in payload.get("failed", [])
         }
         result = cls(name=payload["name"], requests_executed=payload["requests_executed"])
-        for folder in collection.folders:
-            for request in folder.requests:
-                for index, assertion in enumerate(request.assertions):
-                    key = (folder.name, request.name, index, assertion.kind)
-                    if not_run is not None:
-                        outcome = _shared_outcome(*key, False, not_run)
-                    elif (detail := failed.pop(key[:3], None)) is None:
-                        outcome = _shared_outcome(*key, True, "ok")
-                    else:
-                        outcome = AssertionOutcome(*key, False, detail)
-                    result.per_assertion.append(outcome)
+        for key in _assertion_keys(collection):
+            detail = not_run if not_run is not None else failed.pop(key[:3], None)
+            result._count(*key, detail is None, detail)
         if (
             failed
             or result.assertions_total != payload["assertions_total"]
             or result.assertions_passed != payload["assertions_passed"]
         ):
             raise ValueError(f"suite record does not match collection {collection.name!r}")
-        return result
+        return result._settle()
+
+
+def _assertion_keys(collection: TestCollection):
+    """(folder, request, index, kind) of every assertion, in collection order."""
+    for folder in collection.folders:
+        for request in folder.requests:
+            for index, assertion in enumerate(request.assertions):
+                yield folder.name, request.name, index, assertion.kind
 
 
 def _placeholders(value) -> set[str]:
@@ -275,13 +280,9 @@ def load_collection(document: str) -> TestCollection:
 
     collection = TestCollection(
         name=payload.get("name", "collection"),
-        declared_globals=list(payload.get("globals", [])),
         global_defaults=dict(payload.get("global_defaults", {})),
     )
-    collection.declared_globals = sorted(
-        set(collection.declared_globals) | set(collection.global_defaults)
-    )
-    defined = set(collection.declared_globals)
+    defined = set(payload.get("globals", [])) | set(collection.global_defaults)
     for folder_raw in payload["folders"]:
         if "name" not in folder_raw or "requests" not in folder_raw:
             raise CollectionSchemaError("each folder needs 'name' and 'requests'")
@@ -455,11 +456,7 @@ def run_suite(
         for request in folder.requests:
             def record_all(passed: bool, detail: str):
                 for index, assertion in enumerate(request.assertions):
-                    result.per_assertion.append(
-                        AssertionOutcome(
-                            folder.name, request.name, index, assertion.kind, passed, detail
-                        )
-                    )
+                    result._count(folder.name, request.name, index, assertion.kind, passed, detail)
 
             path = _render(request.path, variables)
             headers = {k: _render(v, variables) for k, v in request.headers.items()}
@@ -487,28 +484,24 @@ def run_suite(
 
             for index, assertion in enumerate(request.assertions):
                 passed, detail = evaluate_assertion(assertion, status, body, variables)
-                build = _shared_outcome if passed else AssertionOutcome
-                result.per_assertion.append(
-                    build(folder.name, request.name, index, assertion.kind, passed, detail)
-                )
+                result._count(folder.name, request.name, index, assertion.kind, passed, detail)
             if isinstance(body, (dict, list)):
                 for var, capture_path in request.captures:
                     value = resolve_path(body, capture_path)
                     if value is not _MISSING:
                         variables[var] = value
-    return result
+    return result._settle()
 
 
 def unreachable_result(collection: TestCollection, detail: str) -> SuiteResult:
-    """A zero-pass result with every assertion marked failed; used when the
-    server never came up and the suite was not worth running."""
+    """A zero-pass result with every assertion failed with ``detail``; used
+    when the server never came up and the suite was not worth running."""
     result = SuiteResult(name=collection.name)
-    for folder in collection.folders:
-        for request in folder.requests:
-            for index, assertion in enumerate(request.assertions):
-                result.per_assertion.append(
-                    _shared_outcome(folder.name, request.name, index, assertion.kind, False, detail)
-                )
+    for folder, *_ in _assertion_keys(collection):
+        result.folders.setdefault(folder, [0, 0])[1] += 1
+        result.assertions_total += 1
+    if result.assertions_total:  # with nothing to fail, it stores as no failed rows
+        result.not_run = detail
     return result
 
 

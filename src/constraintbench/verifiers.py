@@ -41,10 +41,6 @@ class LayerAliasMap:
             return cls(aliases=json.load(handle))
 
 
-def default_alias_map() -> LayerAliasMap:
-    return LayerAliasMap()
-
-
 def classify_layer(path: str, aliases: LayerAliasMap) -> str | None:
     """First directory component (left to right) matching an alias wins."""
     for component in path.split("/")[:-1]:
@@ -252,7 +248,7 @@ def verify_architecture(
     aliases: LayerAliasMap | None = None,
 ) -> VerifierReport:
     """Layer presence (>= 3 of 4 as directories) plus strict downward imports."""
-    aliases = aliases or default_alias_map()
+    aliases = aliases or LayerAliasMap()
     evidence: list[tuple[str, int, str, str]] = []
     violations: list[tuple[str, str, int]] = []
 

@@ -158,6 +158,23 @@ def test_command_provider_node_modules_only_yields_empty_diff(flask_l0, config):
     assert result.diff_text.strip() == ""
 
 
+def test_campaign_records_keep_the_provider_output(tmp_path, mini_collection, config, flask_l0):
+    command = PatchProvider.parse("command:echo provider-said-hello; echo x > a.txt; exit 3")
+    [record] = run_campaign([flask_l0], command, 1, mini_collection, config=config)
+    assert record.outcome == "no_run_sh"
+    evaluation, provider_log = record.logs.split("\n--- provider ---\n")
+    assert "run.sh" in evaluation
+    assert provider_log == (
+        "provider exit=3\n--- stdout ---\nprovider-said-hello\n\n--- stderr ---\n"
+    )
+
+    # a recorded diff has no provider output, so nothing is added
+    (tmp_path / f"{flask_l0.id}.diff").write_text(files_to_diff({"a.txt": ("x\n", False)}))
+    recorded = PatchProvider("recorded_directory", str(tmp_path))
+    [replayed] = run_campaign([flask_l0], recorded, 1, mini_collection, config=config)
+    assert replayed.logs == evaluation
+
+
 def test_evaluate_golden_layered_l3(conduit_collection, config):
     framework = FRAMEWORKS["flask"]
     constraints = ConstraintSet(architecture=True, database="sqlite", orm=True)

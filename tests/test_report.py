@@ -13,12 +13,12 @@ from test_metrics import synthetic_campaign
 
 def _suite(fraction: float, total: int = 20) -> SuiteResult:
     passed = round(fraction * total)
-    result = SuiteResult(name="synthetic", requests_executed=total)
-    for index in range(total):
-        result.per_assertion.append(
-            AssertionOutcome("F", "r", index, "status_code", index < passed, "ok")
-        )
-    return result
+    return SuiteResult(
+        name="synthetic", requests_executed=total, assertions_total=total,
+        assertions_passed=passed, folders={"F": [passed, total]},
+        failures=[AssertionOutcome("F", "r", index, "status_code", False, "ok")
+                  for index in range(passed, total)],
+    )
 
 
 def synthetic_records():

@@ -1,6 +1,6 @@
 import contextlib
 import dataclasses
-import functools
+import hashlib
 import importlib.util
 import json
 import socket
@@ -228,7 +228,8 @@ def test_closed_port_fails_everything(conduit_collection):
     assert result.assertions_passed == 0
     assert result.assertions_total == 291
     assert result.requests_executed == 0
-    assert all("connection failed" in o.detail for o in result.per_assertion)
+    assert result.not_run.startswith("connection failed")
+    assert result.failed() == []
 
 
 COMMENT_REQUESTS = {
@@ -291,6 +292,28 @@ def test_feature_removal_monotone(conduit_collection):
         assert partial < full
 
 
+THREE_ASSERTIONS = load_collection(json.dumps({"name": "three", "folders": [
+    {"name": "H", "requests": [
+        {"name": "a", "method": "GET", "path": "/a", "assertions": [
+            {"kind": "status_code", "expect": 200}, {"kind": "status_code", "expect": 201}]},
+        {"name": "b", "method": "GET", "path": "/b", "assertions": [
+            {"kind": "status_code", "expect": 200}]}]},
+    {"name": "Empty", "requests": []}]}))
+NO_ASSERTIONS = load_collection(json.dumps({"name": "none", "folders": [
+    {"name": "A", "requests": [{"name": "r", "method": "GET", "path": "/x"}]}]}))
+
+
+def _three_failed(details, requests_executed):
+    keys = [("a", 0), ("a", 1), ("b", 0)]
+    return {
+        "name": "three", "requests_executed": requests_executed,
+        "assertions_total": 3, "assertions_passed": 0, "folders": {"H": [0, 3]},
+        "failed": [{"folder": "H", "request": request, "index": index,
+                    "kind": "status_code", "detail": detail}
+                   for (request, index), detail in zip(keys, details)],
+    }
+
+
 def test_stored_form_round_trips_every_outcome(conduit_collection):
     with ServerHandle(port=0, disabled=["profiles"]) as server:
         result = run_suite(conduit_collection, server.base_url)
@@ -300,6 +323,22 @@ def test_stored_form_round_trips_every_outcome(conduit_collection):
     assert stored["folders"]["Profiles"] == [26 - sum(PROFILES_OFF.values()), 26]
     assert SuiteResult.from_record(stored, conduit_collection) == result
 
+    # not_run: no request answered and every failure has the same detail
+    for details, executed, not_run in [
+        (["x", "x", "x"], 0, "x"),
+        (["x", "y", "x"], 0, None),
+        (["x", "x", "x"], 2, None),
+    ]:
+        payload = _three_failed(details, executed)
+        result = SuiteResult.from_record(payload, THREE_ASSERTIONS)
+        assert result.not_run == not_run
+        assert len(result.failed()) == (0 if not_run else 3)
+        if not_run:
+            del payload["failed"]
+            payload["not_run"] = not_run
+        assert result.to_dict() == payload
+        assert SuiteResult.from_record(result.to_dict(), THREE_ASSERTIONS) == result
+
 
 def test_unreachable_result_stored_as_not_run(conduit_collection):
     result = unreachable_result(conduit_collection, "server unreachable")
@@ -308,6 +347,16 @@ def test_unreachable_result_stored_as_not_run(conduit_collection):
     assert "failed" not in stored
     assert stored["assertions_total"] == 291
     assert SuiteResult.from_record(stored, conduit_collection) == result
+
+    # with no assertion to fail, nothing is stored as not run
+    for result in (
+        unreachable_result(NO_ASSERTIONS, "server unreachable"),
+        run_suite(NO_ASSERTIONS, "http://127.0.0.1:1/api", request_timeout=2),
+    ):
+        stored = result.to_dict()
+        assert stored == {"name": "none", "requests_executed": 0, "assertions_total": 0,
+                          "assertions_passed": 0, "folders": {}, "failed": []}
+        assert SuiteResult.from_record(stored, NO_ASSERTIONS) == result
 
 
 def test_from_record_rejects_another_collection(conduit_collection):
@@ -319,6 +368,26 @@ def test_from_record_rejects_another_collection(conduit_collection):
         SuiteResult.from_record(stored, mini)
 
 
+@pytest.mark.parametrize("mismatch", ["repeated request", "unknown row", "total", "passed"])
+def test_from_record_rejects_a_record_that_does_not_fit(mismatch):
+    payload, collection = _three_failed("xyz", 1), THREE_ASSERTIONS
+    SuiteResult.from_record(payload, collection)  # fits as it is
+    if mismatch == "repeated request":
+        collection = load_collection(json.dumps({"name": "three", "folders": [
+            {"name": "H", "requests": [
+                {"name": "a", "method": "GET", "path": path,
+                 "assertions": [{"kind": "status_code", "expect": 200}]}
+                for path in ("/a", "/b", "/c")]}]}))
+    elif mismatch == "unknown row":
+        payload["failed"][2]["request"] = "c"
+    elif mismatch == "total":
+        payload["assertions_total"] = 4
+    else:
+        payload["assertions_passed"] = 1
+    with pytest.raises(ValueError):
+        SuiteResult.from_record(payload, collection)
+
+
 def test_unreachable_result_shape(conduit_collection):
     result = unreachable_result(conduit_collection, "server unreachable")
     assert result.assertions_total == 291
@@ -326,36 +395,10 @@ def test_unreachable_result_shape(conduit_collection):
     assert result.requests_executed == 0
 
 
-def test_runs_share_their_passing_outcomes(conduit_collection):
-    with ServerHandle(port=0) as server:
-        first = run_suite(conduit_collection, server.base_url)
-    with ServerHandle(port=0) as server:
-        second = run_suite(conduit_collection, server.base_url)
-    assert first.assertions_passed == second.assertions_passed == 291
-    assert first.per_assertion is not second.per_assertion
-    assert all(a is b for a, b in zip(first.per_assertion, second.per_assertion))
-
-
-def test_failing_outcomes_are_not_shared(conduit_collection, monkeypatch):
-    monkeypatch.setattr(suite, "_shared_outcome", functools.cache(suite.AssertionOutcome))
-    with ServerHandle(port=0, disabled=["comments"]) as server:
-        result = run_suite(conduit_collection, server.base_url)
-    assert len(result.failed()) == sum(COMMENT_REQUESTS.values())
-    assert suite._shared_outcome.cache_info().currsize == result.assertions_passed
-
-
-def test_outcomes_are_immutable(conduit_collection):
-    outcome = unreachable_result(conduit_collection, "server unreachable").per_assertion[0]
+def test_outcomes_are_immutable():
+    [outcome, *_] = SuiteResult.from_record(_three_failed("xyx", 0), THREE_ASSERTIONS).failed()
     with pytest.raises(dataclasses.FrozenInstanceError):
         outcome.passed = True
-
-
-def test_unreachable_results_share_outcomes_not_lists(conduit_collection):
-    first = unreachable_result(conduit_collection, "server unreachable")
-    second = unreachable_result(conduit_collection, "server unreachable")
-    assert first.per_assertion is not second.per_assertion
-    assert all(a is b for a, b in zip(first.per_assertion, second.per_assertion))
-    assert len(first.per_assertion) == 291
 
 
 def test_many_suites_hold_one_set_of_outcomes(conduit_collection):
@@ -371,16 +414,41 @@ def test_many_suites_hold_one_set_of_outcomes(conduit_collection):
     finally:
         tracemalloc.stop()
     assert sum(r.assertions_passed for r in held) == 100 * 291
-    # 200 lists of 291 references take about 0.5 MB; an instance per outcome, 8 MB
-    assert retained < 1_000_000
+    # 200 suites' counts and folder tallies take about 0.15 MB; a list of 291
+    # outcome references per suite would add 0.5 MB
+    assert retained < 300_000
+    assert all(r.failed() == [] for r in held)
 
 
 def test_suite_csv_row_count(conduit_collection):
     with ServerHandle(port=0) as server:
         result = run_suite(conduit_collection, server.base_url)
-    lines = result.to_csv().strip().splitlines()
+    lines = result.to_csv(conduit_collection).strip().splitlines()
     assert lines[0] == "folder,request,index,kind,passed,detail"
     assert len(lines) == 292
+
+
+def _sha256(text: str) -> str:
+    return hashlib.sha256(text.encode()).hexdigest()
+
+
+def test_suite_csv_has_a_row_for_every_assertion(conduit_collection):
+    # digests of what the earlier, one-outcome-per-assertion form wrote
+    with ServerHandle(port=0, disabled=["comments"]) as server:
+        partial = run_suite(conduit_collection, server.base_url)
+    assert _sha256(partial.to_csv(conduit_collection)) == (
+        "b648e08fc1160bc8aacaccd728365fbae2a1097f61d49c8cfa0ff410847c1188"
+    )
+    not_run = unreachable_result(conduit_collection, "server unreachable")
+    assert _sha256(not_run.to_csv(conduit_collection)) == (
+        "c38c3428e0dafa7cb61a67f207ae15e55c9beff0ff10f080956eef10fa044f88"
+    )
+    assert SuiteResult.from_record(_three_failed("xxx", 0), THREE_ASSERTIONS).to_csv(
+        THREE_ASSERTIONS
+    ) == (
+        "folder,request,index,kind,passed,detail\n"
+        "H,a,0,status_code,False,x\nH,a,1,status_code,False,x\nH,b,0,status_code,False,x\n"
+    )
 
 
 def test_poll_health_immediate(conduit_collection):
@@ -455,9 +523,8 @@ def test_run_suite_fails_the_requests_a_malformed_reply_answers(error):
     )
     with malformed_server(MALFORMED_REPLIES[error]) as base_url:
         result = run_suite(collection, base_url, request_timeout=2)
-    [outcome] = result.per_assertion
-    assert outcome.passed is False
-    assert outcome.detail.startswith(f"malformed response: {error}(")
+    assert (result.assertions_passed, result.assertions_total) == (0, 1)
+    assert result.not_run.startswith(f"malformed response: {error}(")
 
 
 @pytest.mark.parametrize("error", sorted(MALFORMED_REPLIES))

@@ -18,7 +18,6 @@ from constraintbench.verifiers import (
     EVIDENCE_PATTERNS,
     LayerAliasMap,
     classify_layer,
-    default_alias_map,
     resolve_import_layer,
     structural_compliance,
     verify_architecture,
@@ -48,11 +47,11 @@ def patch_from(files: dict):
     ],
 )
 def test_classify_layer(path, layer):
-    assert classify_layer(path, default_alias_map()) == layer
+    assert classify_layer(path, LayerAliasMap()) == layer
 
 
 def test_classify_layer_first_component_wins():
-    assert classify_layer("routes/models_helpers/x.py", default_alias_map()) == "routes"
+    assert classify_layer("routes/models_helpers/x.py", LayerAliasMap()) == "routes"
 
 
 @pytest.mark.parametrize(
@@ -66,7 +65,7 @@ def test_classify_layer_first_component_wins():
     ],
 )
 def test_resolve_import_layer(target, layer):
-    assert resolve_import_layer(target, default_alias_map()) == layer
+    assert resolve_import_layer(target, LayerAliasMap()) == layer
 
 
 def test_alias_map_rejects_unknown_layer():
