@@ -18,7 +18,7 @@ from .composer import (
     load_task,
     render_prompt,
 )
-from .diffs import PatchDocument, apply_exclusions, extract_imports, parse_patch
+from .diffs import PatchDocument, extract_imports, parse_patch
 from .harness import HarnessConfig, PatchProvider, RunRecord, run_campaign
 from .metrics import RunScore, assert_pct, cohen_kappa, correlations, marginal_effect, pass_at_k
 from .suite import TestCollection, load_collection, poll_health, run_suite
@@ -45,7 +45,6 @@ __all__ = [
     "TaskSpec",
     "TestCollection",
     "VerifierReport",
-    "apply_exclusions",
     "assert_pct",
     "classify_layer",
     "cohen_kappa",

@@ -13,7 +13,7 @@ from pathlib import Path
 
 from . import composer, golden, report
 from .config import load_config
-from .diffs import apply_exclusions, parse_patch
+from .diffs import parse_patch
 from .errors import ConstraintBenchError
 from .harness import HarnessConfig, PatchProvider, run_campaign
 from .refserver.server import feature_groups, serve
@@ -85,7 +85,7 @@ def cmd_compose(args) -> int:
 
 
 def cmd_diff_inspect(args) -> int:
-    patch = apply_exclusions(parse_patch(Path(args.patch).read_text(encoding="utf-8")))
+    patch = parse_patch(Path(args.patch).read_text(encoding="utf-8"))
     print(patch.to_json())
     return 0
 

@@ -42,7 +42,10 @@ class FileChange:
 
     path: str
     added_lines: list[tuple[int, str]] = field(default_factory=list)
-    is_excluded: bool = False
+
+    @property
+    def is_excluded(self) -> bool:
+        return is_excluded_path(self.path)
 
     @property
     def language(self) -> str:
@@ -60,7 +63,7 @@ class PatchDocument:
     files: list[FileChange] = field(default_factory=list)
 
     def active_files(self) -> list[FileChange]:
-        """Files that survived exclusion filtering."""
+        """Files whose paths are not generated artifacts."""
         return [f for f in self.files if not f.is_excluded]
 
     def to_json(self) -> str:
@@ -76,19 +79,6 @@ class PatchDocument:
             ],
         }
         return json.dumps(payload, indent=2, sort_keys=True)
-
-    @classmethod
-    def from_json(cls, text: str) -> "PatchDocument":
-        payload = json.loads(text)
-        files = [
-            FileChange(
-                path=entry["path"],
-                added_lines=[(int(n), t) for n, t in entry["added_lines"]],
-                is_excluded=bool(entry["is_excluded"]),
-            )
-            for entry in payload["files"]
-        ]
-        return cls(files=files)
 
 
 @dataclass
@@ -230,20 +220,14 @@ def is_excluded_path(path: str) -> bool:
     return False
 
 
-def apply_exclusions(patch: PatchDocument) -> PatchDocument:
-    """Mark excluded files in place and return the same document."""
-    for change in patch.files:
-        change.is_excluded = is_excluded_path(change.path)
-    return patch
-
-
 def filter_excluded_sections(diff_text: str) -> str:
     """Drop whole per-file sections for excluded paths, byte-faithfully otherwise.
 
     A section starts at a ``diff --git`` header at the start of a line, a line
     ending at "\n" only; with no section excluded the input comes back as is.
     Used at patch-extraction time so generated artifacts never even reach the
-    stored diff; exclusion marking at parse time stays as a second guard.
+    stored diff; ``FileChange.is_excluded``, read from the same path rule,
+    stays as a second guard for every verifier.
     """
     sections = [
         (header.start(), is_excluded_path(header.group(2)))

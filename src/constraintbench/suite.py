@@ -106,7 +106,6 @@ class AssertionOutcome:
     request: str
     index: int
     kind: str
-    passed: bool
     detail: str
 
 
@@ -134,7 +133,7 @@ class SuiteResult:
         self.assertions_passed += passed
         self.assertions_total += 1
         if not passed:
-            self.failures.append(AssertionOutcome(folder, request, index, kind, False, detail))
+            self.failures.append(AssertionOutcome(folder, request, index, kind, detail))
 
     def _settle(self) -> "SuiteResult":
         """Applies the ``not_run`` rule once every outcome is counted."""
@@ -200,6 +199,7 @@ class SuiteResult:
             failed
             or result.assertions_total != payload["assertions_total"]
             or result.assertions_passed != payload["assertions_passed"]
+            or result.folders != payload["folders"]
         ):
             raise ValueError(f"suite record does not match collection {collection.name!r}")
         return result._settle()
@@ -515,10 +515,12 @@ def poll_health(
 ) -> bool:
     """True iff GET {base_url}/health-check answers 200 within both limits.
 
-    The wait gives up at the last of the probes ``interval`` apart that
-    ``max_attempts`` and ``total_timeout`` allow, even while a server holds
-    a probe unanswered. A probe is one GET; while the port refuses its
-    connection, the next comes within a twentieth of the time waited.
+    The wait gives up ``interval * min(max_attempts - 1, total_timeout //
+    interval)`` seconds after it starts, even while a server holds a probe
+    unanswered. A probe is one GET. Between probes it sleeps by one of two
+    gap rules, each capped by ``interval`` and by the time left: while the
+    port refuses the connection, a twentieth of the time waited; after any
+    other failure, ``REPROBE_FIRST_S``, doubling up to ``REPROBE_CAP_S``.
     ``alive``, when given, is asked before every probe; once it answers
     False the wait ends with no further probe, since whatever answers then
     is not the server being waited for.

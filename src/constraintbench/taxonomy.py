@@ -10,6 +10,7 @@ import json
 from dataclasses import dataclass, field
 
 from .errors import MetricError, NotAFailureError
+from .harness import OUTCOMES
 from .metrics import classification_report, cohen_kappa
 
 COARSE_CATEGORIES = (
@@ -120,9 +121,7 @@ def assemble_evidence(run, trajectory: list | None = None, n_turns: int = 20) ->
     return EvidenceBundle(
         run_digest={
             "run_id": f"{record.get('task_id')}_t{record.get('trial')}",
-            "patch_applied": record.get("patch_applied"),
-            "server_started": record.get("server_started"),
-            "health_ok": record.get("health_ok"),
+            "outcome": record.get("outcome"),
             "structurally_compliant": record.get("structurally_compliant"),
             "assertions_passed": suite.get("assertions_passed"),
             "assertions_total": suite.get("assertions_total"),
@@ -138,9 +137,10 @@ def rule_based_judge(evidence: EvidenceBundle) -> FailureLabel:
     """Deliberately simple stand-in for an LLM judge; enough to test plumbing."""
     digest = evidence.run_digest
     run_id = digest.get("run_id", "unknown")
-    if not digest.get("patch_applied"):
+    stages, _ = OUTCOMES[digest["outcome"]]
+    if stages < 1:
         return FailureLabel(run_id, "incomplete_implementation", rationale="patch never applied")
-    if not digest.get("health_ok"):
+    if stages < 3:
         return FailureLabel(run_id, "server_startup_failure", rationale="health check never passed")
     passed = digest.get("assertions_passed") or 0
     total = digest.get("assertions_total") or 0

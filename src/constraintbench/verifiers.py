@@ -13,7 +13,7 @@ import re
 from dataclasses import dataclass, field
 from importlib import resources
 
-from .diffs import PatchDocument, apply_exclusions, extract_imports
+from .diffs import PatchDocument, extract_imports
 
 LAYER_RANKS = {"models": 0, "repositories": 1, "services": 2, "routes": 3}
 
@@ -298,7 +298,6 @@ def structural_compliance(task, patch: PatchDocument, aliases: LayerAliasMap | N
 
     Returns (overall, reports); an unconstrained task trivially complies.
     """
-    apply_exclusions(patch)
     reports: list[VerifierReport] = []
     constraints = task.constraints
     if constraints.architecture:

@@ -8,6 +8,15 @@ import pytest
 from constraintbench.suite import load_collection
 
 
+# generated artifacts to add to a golden tree: a vendored `pg` module that would
+# read as PostgreSQL evidence, a lock file and a database
+ARTIFACT_FILES = {
+    "node_modules/pg/index.js": ("const pg = require('pg');\n", False),
+    "yarn.lock": ('pg@^8:\n  version "8.11.0"\n', False),
+    "data/app.db": ("SQLite format 3\n", False),
+}
+
+
 @pytest.fixture(scope="session")
 def conduit_collection():
     text = (

@@ -4,9 +4,12 @@ import sys
 
 import pytest
 
+import constraintbench
 from constraintbench.cli import main
-from constraintbench.golden import golden_patch, write_recorded_tree
+from constraintbench.golden import files_to_diff, golden_patch, layered_files, write_recorded_tree
 from constraintbench.refserver import ServerHandle
+
+from conftest import ARTIFACT_FILES
 
 
 def test_usage_error_exit_code_1(capsys):
@@ -88,6 +91,21 @@ def test_verify_subcommand(tmp_path, capsys):
     payload = json.loads(report_file.read_text())
     assert payload["overall"] is True
     assert [r["axis"] for r in payload["reports"]] == ["architecture", "database", "orm"]
+
+
+def test_artifact_sections_are_excluded_by_path(tmp_path, capsys):
+    patch = tmp_path / "artifacts.diff"
+    patch.write_text(files_to_diff({**layered_files(), **ARTIFACT_FILES}))
+    assert main(["diff", "inspect", str(patch)]) == 0
+    payload = json.loads(capsys.readouterr().out)
+    assert {f["path"] for f in payload["files"] if f["is_excluded"]} == set(ARTIFACT_FILES)
+
+    tasks = tmp_path / "tasks"
+    main(["compose", "--frameworks", "flask", "--levels", "L3", "--out", str(tasks)])
+    task_file = tasks / "flask-openapi-clean_architecture-sqlite-sqlalchemy.json"
+    capsys.readouterr()
+    assert main(["verify", "--task", str(task_file), "--patch", str(patch)]) == 0
+    assert "overall: compliant" in capsys.readouterr().out
 
 
 def test_verify_monolithic_flags_architecture(tmp_path, capsys):
@@ -217,3 +235,8 @@ def test_console_script_installed():
     )
     assert result.returncode == 0
     assert "diff --git a/models/entities.py" in result.stdout
+
+
+def test_every_exported_name_resolves():
+    missing = [name for name in constraintbench.__all__ if not hasattr(constraintbench, name)]
+    assert missing == []

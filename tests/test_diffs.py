@@ -5,8 +5,6 @@ from hypothesis import given, strategies as st
 
 from constraintbench.diffs import (
     FileChange,
-    PatchDocument,
-    apply_exclusions,
     extract_imports,
     filter_excluded_sections,
     is_excluded_path,
@@ -225,15 +223,12 @@ def test_pure_deletion_hunk_then_next_file():
 )
 def test_exclusion_rules(path, excluded):
     assert is_excluded_path(path) is excluded
-    doc = PatchDocument(files=[FileChange(path=path, added_lines=[(1, "x")])])
-    apply_exclusions(doc)
-    assert doc.files[0].is_excluded is excluded
+    assert FileChange(path=path, added_lines=[(1, "x")]).is_excluded is excluded
 
 
 def test_exclusion_is_purely_path_based():
     sneaky = FileChange(path="src/ok.py", added_lines=[(1, "import sqlite3  # node_modules")])
-    doc = apply_exclusions(PatchDocument(files=[sneaky]))
-    assert doc.files[0].is_excluded is False
+    assert sneaky.is_excluded is False
 
 
 def test_filter_excluded_sections_drops_whole_files():
@@ -362,35 +357,3 @@ def test_generated_diff_parses_back_to_exact_content(tree):
     assert set(parsed) == set(tree)
     for path, lines in tree.items():
         assert parsed[path] == [(i + 1, line) for i, line in enumerate(lines)], path
-
-
-@given(
-    st.lists(
-        st.tuples(
-            st.text(
-                alphabet=st.characters(whitelist_categories=("Ll",), max_codepoint=122),
-                min_size=1,
-                max_size=8,
-            ),
-            st.lists(st.text(alphabet="abc xyz=", max_size=20), max_size=5),
-        ),
-        max_size=5,
-    )
-)
-def test_json_roundtrip_preserves_retained_information(entries):
-    files = []
-    seen = set()
-    for name, lines in entries:
-        path = f"dir/{name}.py"
-        if path in seen:
-            continue
-        seen.add(path)
-        files.append(
-            FileChange(path=path, added_lines=[(i + 1, text) for i, text in enumerate(lines)])
-        )
-    doc = apply_exclusions(PatchDocument(files=files))
-    again = PatchDocument.from_json(doc.to_json())
-    assert again.to_json() == doc.to_json()
-    assert [(f.path, f.added_lines, f.is_excluded) for f in again.files] == [
-        (f.path, f.added_lines, f.is_excluded) for f in doc.files
-    ]

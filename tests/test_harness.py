@@ -12,7 +12,7 @@ import pytest
 
 from constraintbench.composer import FRAMEWORKS, ConstraintSet, TaskSpec, task_id
 from constraintbench.errors import TaskSetupError
-from constraintbench.diffs import apply_exclusions, parse_patch
+from constraintbench.diffs import parse_patch
 from constraintbench.golden import files_to_diff, golden_patch, layered_files, write_recorded_tree
 from constraintbench import harness
 from constraintbench.harness import (
@@ -719,7 +719,7 @@ def test_record_rebuilds_suite_and_verdicts(stored_runs, conduit_collection, kin
     assert suite == record.suite
     assert suite.to_dict() == record.suite.to_dict()
 
-    compliant, reports = structural_compliance(task, apply_exclusions(parse_patch(stored["diff"])))
+    compliant, reports = structural_compliance(task, parse_patch(stored["diff"]))
     assert compliant == stored["structurally_compliant"]
     assert json.loads(json.dumps([r.to_dict() for r in reports])) == stored["verifier_reports"]
     assert len(reports) == 3

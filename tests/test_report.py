@@ -16,7 +16,7 @@ def _suite(fraction: float, total: int = 20) -> SuiteResult:
     return SuiteResult(
         name="synthetic", requests_executed=total, assertions_total=total,
         assertions_passed=passed, folders={"F": [passed, total]},
-        failures=[AssertionOutcome("F", "r", index, "status_code", False, "ok")
+        failures=[AssertionOutcome("F", "r", index, "status_code", "ok")
                   for index in range(passed, total)],
     )
 

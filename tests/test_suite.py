@@ -368,7 +368,9 @@ def test_from_record_rejects_another_collection(conduit_collection):
         SuiteResult.from_record(stored, mini)
 
 
-@pytest.mark.parametrize("mismatch", ["repeated request", "unknown row", "total", "passed"])
+@pytest.mark.parametrize(
+    "mismatch", ["repeated request", "unknown row", "total", "passed", "folders"]
+)
 def test_from_record_rejects_a_record_that_does_not_fit(mismatch):
     payload, collection = _three_failed("xyz", 1), THREE_ASSERTIONS
     SuiteResult.from_record(payload, collection)  # fits as it is
@@ -382,6 +384,8 @@ def test_from_record_rejects_a_record_that_does_not_fit(mismatch):
         payload["failed"][2]["request"] = "c"
     elif mismatch == "total":
         payload["assertions_total"] = 4
+    elif mismatch == "folders":
+        payload["folders"] = {"H": [1, 3]}
     else:
         payload["assertions_passed"] = 1
     with pytest.raises(ValueError):
@@ -398,13 +402,15 @@ def test_unreachable_result_shape(conduit_collection):
 def test_outcomes_are_immutable():
     [outcome, *_] = SuiteResult.from_record(_three_failed("xyx", 0), THREE_ASSERTIONS).failed()
     with pytest.raises(dataclasses.FrozenInstanceError):
-        outcome.passed = True
+        outcome.detail = "ok"
 
 
 def test_many_suites_hold_one_set_of_outcomes(conduit_collection):
     passing = unreachable_result(conduit_collection, "server unreachable").to_dict()
     del passing["not_run"]
-    passing.update(failed=[], assertions_passed=291, requests_executed=32)
+    passing.update(failed=[], assertions_passed=291, requests_executed=32,
+                   folders={folder: [total, total] for folder, (_, total)
+                            in passing["folders"].items()})
     tracemalloc.start()
     try:
         before = tracemalloc.get_traced_memory()[0]

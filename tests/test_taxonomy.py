@@ -1,6 +1,7 @@
 import pytest
 
 from constraintbench.errors import MetricError, NotAFailureError
+from constraintbench.harness import OUTCOMES, RunRecord
 from constraintbench.taxonomy import (
     COARSE_CATEGORIES,
     LOGIC_SUBCATEGORIES,
@@ -39,9 +40,7 @@ def failed_run_dict(**overrides):
         "task_id": "flask-openapi",
         "trial": 0,
         "full_pass": False,
-        "patch_applied": True,
-        "server_started": True,
-        "health_ok": True,
+        "outcome": "ok",
         "structurally_compliant": True,
         "logs": "\n".join(f"log line {i}" for i in range(80)),
         "suite": {
@@ -98,10 +97,10 @@ def test_assemble_evidence_is_deterministic():
 
 
 def test_rule_based_judge_rules():
-    startup = assemble_evidence(failed_run_dict(health_ok=False), [])
+    startup = assemble_evidence(failed_run_dict(outcome="health_timeout"), [])
     assert rule_based_judge(startup).coarse == "server_startup_failure"
 
-    unapplied = assemble_evidence(failed_run_dict(patch_applied=False), [])
+    unapplied = assemble_evidence(failed_run_dict(outcome="apply_failed"), [])
     assert rule_based_judge(unapplied).coarse == "incomplete_implementation"
 
     passing_but_noncompliant = failed_run_dict(structurally_compliant=False)
@@ -113,6 +112,32 @@ def test_rule_based_judge_rules():
     verdict = rule_based_judge(logic)
     assert verdict.coarse == "logic_error"
     assert verdict.sub in LOGIC_SUBCATEGORIES
+
+
+def flag_judge(run: dict) -> str:
+    """The coarse label the judge gave when it read the stage flags."""
+    passed, total = run["suite"]["assertions_passed"], run["suite"]["assertions_total"]
+    if not run["patch_applied"]:
+        return "incomplete_implementation"
+    if not run["health_ok"]:
+        return "server_startup_failure"
+    if total and passed == total and not run["structurally_compliant"]:
+        return "constraint_violation"
+    if passed == 0:
+        return "schema_format_error"
+    return "logic_error"
+
+
+@pytest.mark.parametrize("outcome", sorted(OUTCOMES))
+@pytest.mark.parametrize("passed,compliant", [(0, True), (100, True), (291, False)])
+def test_judge_on_outcome_gives_the_label_of_its_flags(outcome, passed, compliant):
+    record = RunRecord(task_id="t", trial=0, diff="", suite=None, verifier_reports=[],
+                       structurally_compliant=compliant, outcome=outcome)
+    run = failed_run_dict(outcome=outcome, structurally_compliant=compliant)
+    run["suite"]["assertions_passed"] = passed
+    for flag in ("patch_applied", "health_ok"):
+        run[flag] = getattr(record, flag)
+    assert rule_based_judge(assemble_evidence(run)).coarse == flag_judge(run)
 
 
 def test_aggregate_reproduces_published_share():

@@ -12,7 +12,7 @@ import pytest
 
 from constraintbench import verifiers
 from constraintbench.composer import FRAMEWORKS, ConstraintSet, TaskSpec
-from constraintbench.diffs import apply_exclusions, parse_patch
+from constraintbench.diffs import parse_patch
 from constraintbench.golden import files_to_diff, golden_patch, layered_files
 from constraintbench.verifiers import (
     EVIDENCE_PATTERNS,
@@ -25,10 +25,12 @@ from constraintbench.verifiers import (
     verify_orm,
 )
 
+from conftest import ARTIFACT_FILES
+
 
 def patch_from(files: dict):
     rendered = {path: (content, False) for path, content in files.items()}
-    return apply_exclusions(parse_patch(files_to_diff(rendered)))
+    return parse_patch(files_to_diff(rendered))
 
 
 # -- layer classification ---------------------------------------------------
@@ -436,6 +438,15 @@ def test_l1_sqlite_task_single_report():
     assert len(reports) == 1 and reports[0].axis == "database"
 
 
+def test_structural_compliance_leaves_the_patch_as_it_was():
+    patch = parse_patch(files_to_diff({**layered_files(), **ARTIFACT_FILES}))
+    before = patch.to_json()
+    task = _task("flask", ConstraintSet(architecture=True, database="sqlite", orm=True))
+    overall, _ = structural_compliance(task, patch)
+    assert overall is True  # the vendored require('pg') is not evidence
+    assert patch.to_json() == before
+
+
 def test_node_orm_expectation_follows_runtime():
     task = _task("express", ConstraintSet(database="sqlite", orm=True))
     files = {
@@ -514,7 +525,7 @@ def _scan_corpus():
     del no_run_sh["run.sh"]
     diffs["no_run_sh"] = files_to_diff(no_run_sh)
     diffs["apply_reject"] = golden_patch("layered") + REJECTED_HUNK
-    patches = {name: apply_exclusions(parse_patch(diff)) for name, diff in diffs.items()}
+    patches = {name: parse_patch(diff) for name, diff in diffs.items()}
     for fixtures in (ARCH_FIXTURES, DB_FIXTURES, ORM_FIXTURES):
         for name, (files, *_) in fixtures.items():
             patches[f"fixture {name}"] = patch_from(files)
