@@ -83,11 +83,14 @@ class TaskSpec:
     kind: str  # generation | feature
     framework: Framework
     constraints: ConstraintSet
-    level: int
     prompt: str
     setup_commands: list[str] = field(default_factory=list)
     ablation_patch: str | None = None
     repo_ref: dict | None = None  # {"url": ..., "commit": ...}
+
+    @property
+    def level(self) -> int:
+        return self.constraints.level
 
     def to_dict(self) -> dict:
         payload = {
@@ -116,11 +119,10 @@ class TaskSpec:
     @classmethod
     def from_summary(cls, summary: dict) -> "TaskSpec":
         """A prompt-less task from ``summary()``: enough to group and pair runs."""
-        constraints = ConstraintSet(**summary["constraints"])
         return cls(
             id=summary["id"], kind=summary.get("kind", "generation"),
-            framework=FRAMEWORKS[summary["framework"]], constraints=constraints,
-            level=int(summary["level"].lstrip("L")), prompt="",
+            framework=FRAMEWORKS[summary["framework"]],
+            constraints=ConstraintSet(**summary["constraints"]), prompt="",
         )
 
 
@@ -255,7 +257,6 @@ def enumerate_variants(
                     kind="generation",
                     framework=framework,
                     constraints=constraints,
-                    level=constraints.level,
                     prompt=render_prompt(framework, constraints, spec, template),
                     setup_commands=default_setup_commands(framework),
                 )
@@ -301,7 +302,6 @@ def _task_from_dict(payload: dict) -> TaskSpec:
         kind=kind,
         framework=framework,
         constraints=constraints,
-        level=constraints.level,
         prompt=payload["prompt"],
         setup_commands=list(payload["setup_commands"]),
         ablation_patch=payload.get("ablation_patch"),

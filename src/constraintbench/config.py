@@ -4,21 +4,27 @@ The keys are the fields of ``HarnessConfig``: port_pool (range
 ``8080-8099`` or comma list), aliases (path to a layer-alias JSON), pg_url,
 workspace_root, and the int and float fields, read as their defaults'
 types. ``#`` comments and ``[section]`` headers are tolerated and ignored.
+A ``#`` starts a comment only at the start of a line or after whitespace,
+so a ``#`` inside a value with no space before it is kept
+(``workspace_root = /tmp/runs#1``). A port_pool that names a port twice is
+rejected.
 """
 
 from __future__ import annotations
 
+import re
 from dataclasses import fields
 from pathlib import Path
 
 from .errors import TaskSetupError
-from .harness import HarnessConfig
+from .harness import HarnessConfig, repeated_port
 from .verifiers import LayerAliasMap
 
 # key -> int or float, for every HarnessConfig field with such a default
 _NUMBER_TYPES = {
     f.name: type(f.default) for f in fields(HarnessConfig) if type(f.default) in (int, float)
 }
+_COMMENT = re.compile(r"(?:^|\s)#")
 
 
 def _parse_ports(raw: str) -> list[int]:
@@ -34,13 +40,15 @@ def _parse_ports(raw: str) -> list[int]:
             ports.append(int(piece))
     if not ports:
         raise TaskSetupError("port_pool must contain at least one port")
+    if (port := repeated_port(ports)) is not None:
+        raise TaskSetupError(f"port_pool names port {port} more than once")
     return ports
 
 
 def parse_config_text(text: str, base_dir: Path | None = None) -> HarnessConfig:
     config = HarnessConfig.from_env()
     for line_number, raw_line in enumerate(text.splitlines(), start=1):
-        line = raw_line.split("#", 1)[0].strip()
+        line = _COMMENT.split(raw_line, maxsplit=1)[0].strip()
         if not line or (line.startswith("[") and line.endswith("]")):
             continue
         if "=" not in line:

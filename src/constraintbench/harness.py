@@ -22,6 +22,7 @@ import socket
 import subprocess
 import tempfile
 import time
+from collections import Counter
 from collections.abc import Callable
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
@@ -173,9 +174,8 @@ class RunRecord:
             **fields,
         )
 
-    # the stage flags a stored record keeps for its older readers
+    # stage flags derived from ``outcome`` for the bench's verdicts; not stored
     patch_applied = property(lambda self: OUTCOMES[self.outcome][0] >= 1)
-    server_started = property(lambda self: OUTCOMES[self.outcome][0] >= 2)
     health_ok = property(lambda self: OUTCOMES[self.outcome][0] >= 3)
     setup_error = property(lambda self: self.outcome in ("setup_error", "port_in_use"))
     environment_skipped = property(lambda self: self.outcome == "env_skipped")
@@ -199,9 +199,6 @@ class RunRecord:
             "task_id": self.task_id,
             "trial": self.trial,
             "diff": self.diff,
-            "patch_applied": self.patch_applied,
-            "server_started": self.server_started,
-            "health_ok": self.health_ok,
             "suite": self.suite.to_dict(),
             "verifier_reports": [r.to_dict() for r in self.verifier_reports],
             "structurally_compliant": self.structurally_compliant,
@@ -209,8 +206,6 @@ class RunRecord:
             "logs": self.logs,
             "token_usage": self.token_usage,
             "wall_time": self.wall_time,
-            "environment_skipped": self.environment_skipped,
-            "setup_error": self.setup_error,
             "task": self.task_summary,
             "labels": self.labels,
             "outcome": self.outcome,
@@ -605,6 +600,11 @@ def run_one(
     return record
 
 
+def repeated_port(ports: list[int]) -> int | None:
+    """The first port that ``ports`` names more than once, if any."""
+    return next((port for port, count in Counter(ports).items() if count > 1), None)
+
+
 def run_campaign(
     tasks: list[TaskSpec],
     provider: PatchProvider,
@@ -624,6 +624,8 @@ def run_campaign(
     config = config or HarnessConfig.from_env()
     if not config.port_pool:
         raise ValueError("port_pool must hold at least one port")
+    if (port := repeated_port(config.port_pool)) is not None:
+        raise ValueError(f"port_pool names port {port} more than once")
     # each run leases a port for its whole duration, so no two runs share one
     ports: queue.Queue[int] = queue.Queue()
     for port in config.port_pool:

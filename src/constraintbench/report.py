@@ -86,7 +86,12 @@ def score_campaign(records: list[dict]) -> ScoredCampaign:
     configs = set()
     skipped = 0
     for record in records:
-        if record.get("environment_skipped"):
+        # a record stored before ``outcome`` existed keeps the flag instead
+        if "outcome" in record:
+            skipped_run = record["outcome"] == "env_skipped"
+        else:
+            skipped_run = record.get("environment_skipped", False)
+        if skipped_run:
             skipped += 1
             continue
         task = TaskSpec.from_summary(record["task"])

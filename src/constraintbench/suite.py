@@ -84,21 +84,6 @@ class TestCollection:
     folders: list[Folder] = field(default_factory=list)
     global_defaults: dict = field(default_factory=dict)
 
-    def static_counts(self) -> dict:
-        folders = [
-            {
-                "name": f.name,
-                "requests": len(f.requests),
-                "assertions": sum(len(r.assertions) for r in f.requests),
-            }
-            for f in self.folders
-        ]
-        return {
-            "requests": sum(f["requests"] for f in folders),
-            "assertions": sum(f["assertions"] for f in folders),
-            "folders": folders,
-        }
-
 
 @dataclass(frozen=True, slots=True)
 class AssertionOutcome:
@@ -141,11 +126,6 @@ class SuiteResult:
         if self.requests_executed == 0 and self.assertions_passed == 0 and len(details) == 1:
             self.not_run, self.failures = details.pop(), []
         return self
-
-    def failed(self) -> list[AssertionOutcome]:
-        """The failing outcomes in collection order; none for a ``not_run``
-        suite, whose assertions all failed with ``not_run`` as their detail."""
-        return list(self.failures)
 
     def to_dict(self) -> dict:
         payload = {

@@ -63,7 +63,7 @@ def _l3_task(setup_commands=()):
     constraints = ConstraintSet(architecture=True, database="sqlite", orm=True)
     return TaskSpec(
         id=task_id(framework, constraints), kind="generation", framework=framework,
-        constraints=constraints, level=3,
+        constraints=constraints,
         prompt=render_prompt(framework, constraints),
         setup_commands=list(setup_commands),
     )
@@ -137,10 +137,12 @@ def test_acceptance_verifier_fixture_corpus():
 
 
 def test_acceptance_collection_counts(conduit_collection):
-    counts = conduit_collection.static_counts()
-    assert counts["requests"] == 32
-    assert counts["assertions"] == 291
-    per_folder = {f["name"]: (f["requests"], f["assertions"]) for f in counts["folders"]}
+    per_folder = {
+        f.name: (len(f.requests), sum(len(r.assertions) for r in f.requests))
+        for f in conduit_collection.folders
+    }
+    assert sum(requests for requests, _ in per_folder.values()) == 32
+    assert sum(assertions for _, assertions in per_folder.values()) == 291
     assert per_folder == {
         "Auth": (5, 30),
         "Articles": (4, 20),
@@ -189,7 +191,7 @@ def test_acceptance_partial_failure_oracle(conduit_collection):
     }
     with ServerHandle(port=0, disabled=["comments"]) as server:
         result = run_suite(conduit_collection, server.base_url)
-    failed = result.failed()
+    failed = result.failures
     per_request = {}
     for outcome in failed:
         per_request[outcome.request] = per_request.get(outcome.request, 0) + 1

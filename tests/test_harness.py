@@ -76,7 +76,7 @@ def flask_l0():
     constraints = ConstraintSet()
     return TaskSpec(
         id=task_id(framework, constraints), kind="generation", framework=framework,
-        constraints=constraints, level=0, prompt="build it", setup_commands=[],
+        constraints=constraints, prompt="build it", setup_commands=[],
     )
 
 
@@ -180,10 +180,10 @@ def test_evaluate_golden_layered_l3(conduit_collection, config):
     constraints = ConstraintSet(architecture=True, database="sqlite", orm=True)
     task = TaskSpec(
         id=task_id(framework, constraints), kind="generation", framework=framework,
-        constraints=constraints, level=3, prompt="p", setup_commands=[],
+        constraints=constraints, prompt="p", setup_commands=[],
     )
     record = evaluate_phase(task, golden_patch("layered"), conduit_collection, config=config)
-    assert record.patch_applied and record.server_started and record.health_ok
+    assert record.patch_applied and record.health_ok
     assert record.outcome == "ok"
     assert record.suite.assertions_passed == 291
     assert record.structurally_compliant is True
@@ -195,7 +195,7 @@ def test_evaluate_runs_setup_commands(mini_collection, config, tmp_path, flask_l
     marker = tmp_path / "setup-ran.txt"
     task = TaskSpec(
         id=flask_l0.id, kind="generation", framework=flask_l0.framework,
-        constraints=flask_l0.constraints, level=0, prompt="p",
+        constraints=flask_l0.constraints, prompt="p",
         setup_commands=[f"echo ran > {marker}"],
     )
     record = evaluate_phase(task, golden_patch("layered"), mini_collection, config=config)
@@ -229,7 +229,7 @@ def test_setup_timeout_stops_the_command_group(mini_collection, config, tmp_path
     pid_file = tmp_path / "child.pid"
     task = TaskSpec(
         id=flask_l0.id, kind="generation", framework=flask_l0.framework,
-        constraints=flask_l0.constraints, level=0, prompt="p",
+        constraints=flask_l0.constraints, prompt="p",
         setup_commands=[f"sleep 37 & echo $! > {pid_file}; wait"],
     )
     config.setup_timeout = 0.5
@@ -265,7 +265,6 @@ def test_evaluate_crashing_run_script(mini_collection, config, flask_l0):
     )
     record = evaluate_phase(flask_l0, diff, mini_collection, config=config)
     assert record.patch_applied is True
-    assert record.server_started is True
     assert record.health_ok is False
     assert record.outcome == "server_exited"
     assert record.suite.assertions_passed == 0
@@ -324,7 +323,7 @@ def test_evaluate_does_not_score_a_stray_server_on_its_port(
     assert record.full_pass is False
     assert record.suite.assertions_passed == 0
     assert record.patch_applied is True
-    assert record.server_started is False and record.health_ok is False
+    assert record.health_ok is False
     assert record.setup_error is True
     assert record.outcome == "port_in_use"
     assert record.to_dict()["suite"]["not_run"] == "task setup error"
@@ -344,7 +343,6 @@ def test_evaluate_missing_run_script(mini_collection, config, flask_l0):
     diff = files_to_diff({"app.py": ("x = 1\n", False)})
     record = evaluate_phase(flask_l0, diff, mini_collection, config=config)
     assert record.patch_applied is True
-    assert record.server_started is False
     assert record.health_ok is False
     assert record.outcome == "no_run_sh"
 
@@ -354,17 +352,17 @@ def test_postgres_task_without_target_is_environment_skipped(mini_collection, co
     constraints = ConstraintSet(database="postgres")
     task = TaskSpec(
         id=task_id(framework, constraints), kind="generation", framework=framework,
-        constraints=constraints, level=1, prompt="p", setup_commands=[],
+        constraints=constraints, prompt="p", setup_commands=[],
     )
     record = evaluate_phase(task, golden_patch("layered"), mini_collection, config=config)
     assert record.environment_skipped is True
-    assert record.server_started is False
     assert record.outcome == "env_skipped"
     assert record.full_pass is False
 
 
 # What records stored for each way a run ends, before ``outcome`` existed:
-# (patch_applied, server_started, health_ok, setup_error, environment_skipped)
+# the values of STAGE_FLAGS, in that order
+STAGE_FLAGS = ("patch_applied", "server_started", "health_ok", "setup_error", "environment_skipped")
 STORED_FLAGS = {
     "ok": (True, True, True, False, False),  # golden L3, background server
     "server_exited": (True, True, False, False, False),  # crashing run.sh
@@ -380,14 +378,18 @@ STORED_FLAGS = {
 
 @pytest.mark.parametrize("outcome", sorted(harness.OUTCOMES))
 def test_outcome_stores_the_stage_flags_of_its_scenario(outcome, mini_collection, flask_l0):
+    """A record stores ``outcome`` alone; the flags follow from it."""
     assert set(STORED_FLAGS) == set(harness.OUTCOMES)
     suite = SuiteResult(name="mini") if outcome == "ok" else None
     record = harness.RunRecord.of(flask_l0, 0, outcome, "", mini_collection, suite=suite)
     stored = json.loads(record.to_json())
-    names = ("patch_applied", "server_started", "health_ok", "setup_error", "environment_skipped")
-    assert tuple(stored[name] for name in names) == STORED_FLAGS[outcome]
-    assert tuple(getattr(record, name) for name in names) == STORED_FLAGS[outcome]
+    assert not set(STAGE_FLAGS) & set(stored)
     assert stored["outcome"] == outcome
+    stages = harness.OUTCOMES[stored["outcome"]][0]
+    patch_applied, server_started, health_ok, setup_error, skipped = STORED_FLAGS[outcome]
+    assert (stages >= 1, stages >= 2, stages >= 3) == (patch_applied, server_started, health_ok)
+    assert (record.patch_applied, record.health_ok) == (patch_applied, health_ok)
+    assert (record.setup_error, record.environment_skipped) == (setup_error, skipped)
     assert stored["suite"].get("not_run") == harness.OUTCOMES[outcome][1]
 
 
@@ -409,7 +411,7 @@ def test_evaluate_keeps_the_verdict_when_the_server_answers_garbage(mini_collect
     config.health_max_attempts = 3
     record = evaluate_phase(_l3_task(), files_to_diff(files), mini_collection, config=config)
     assert record.outcome == "health_timeout"
-    assert record.patch_applied is True and record.server_started is True
+    assert record.patch_applied is True
     assert record.structurally_compliant is True
     assert [r.axis for r in record.verifier_reports] == ["architecture", "database", "orm"]
     assert "--- server log ---" in record.logs
@@ -429,7 +431,7 @@ def test_verifiers_run_even_when_server_never_starts(config, mini_collection):
     constraints = ConstraintSet(architecture=True, database="sqlite", orm=True)
     task = TaskSpec(
         id=task_id(framework, constraints), kind="generation", framework=framework,
-        constraints=constraints, level=3, prompt="p", setup_commands=[],
+        constraints=constraints, prompt="p", setup_commands=[],
     )
     diff = files_to_diff(
         {
@@ -440,7 +442,7 @@ def test_verifiers_run_even_when_server_never_starts(config, mini_collection):
         }
     )
     record = evaluate_phase(task, diff, mini_collection, config=config)
-    assert record.server_started is False
+    assert record.outcome == "no_run_sh"
     assert len(record.verifier_reports) == 3
     assert record.structurally_compliant is True
 
@@ -567,6 +569,13 @@ def test_campaign_never_gives_one_port_to_two_runs(monkeypatch, mini_collection,
     assert set(used) == {8141, 8142}
 
 
+def test_campaign_rejects_a_repeated_port(mini_collection, flask_l0):
+    config = HarnessConfig(port_pool=[8143, 8144, 8143], workers=2, pg_url=None)
+    with pytest.raises(ValueError, match="port 8143"):
+        run_campaign([flask_l0], PatchProvider("recorded_directory", "unused"), 2,
+                     mini_collection, config=config)
+
+
 def test_campaign_rejects_an_empty_port_pool(mini_collection, flask_l0):
     config = HarnessConfig(port_pool=[], pg_url=None)
     raised: list[Exception] = []
@@ -670,7 +679,7 @@ def _l3_task(database="sqlite"):
     constraints = ConstraintSet(architecture=True, database=database, orm=True)
     return TaskSpec(
         id=task_id(framework, constraints), kind="generation", framework=framework,
-        constraints=constraints, level=3, prompt="p", setup_commands=[],
+        constraints=constraints, prompt="p", setup_commands=[],
     )
 
 
@@ -707,7 +716,7 @@ def stored_runs(tmp_path_factory, conduit_collection):
 def test_stored_runs_are_the_intended_kinds(stored_runs):
     assert stored_runs["full_pass"][1].full_pass is True
     assert stored_runs["partial_pass"][1].suite.assertions_passed == 291 - 26
-    assert stored_runs["crashed"][1].server_started is True
+    assert stored_runs["crashed"][1].outcome == "server_exited"
     assert stored_runs["crashed"][1].health_ok is False
     assert stored_runs["environment_skipped"][1].environment_skipped is True
 
@@ -1013,7 +1022,7 @@ def test_evaluate_inside_an_enclosing_git_repo(tmp_path, mini_collection, config
     rejected = evaluate_phase(flask_l0, server + REJECTED_HUNK, mini_collection, config=config)
     assert rejected.patch_applied is False
     assert "git apply failed" in rejected.logs
-    assert rejected.server_started is False
+    assert rejected.outcome == "apply_failed"
 
 
 # -- feature tasks over a local fixture repository ------------------------------
@@ -1049,7 +1058,7 @@ def make_feature_task(url, commit, ablation):
     framework = FRAMEWORKS["flask"]
     return TaskSpec(
         id="flask-feature-farewell", kind="feature", framework=framework,
-        constraints=ConstraintSet(), level=0, prompt="restore farewell",
+        constraints=ConstraintSet(), prompt="restore farewell",
         setup_commands=[], ablation_patch=ablation,
         repo_ref={"url": url, "commit": commit},
     )
@@ -1108,6 +1117,6 @@ def test_feature_evaluate_applies_ablation_then_patch(tmp_path, mini_collection,
     )
     record = evaluate_phase(task, agent_patch, mini_collection, config=config)
     assert record.patch_applied is True
-    assert record.server_started is True
+    assert record.outcome == "server_exited"
     assert "server exited with code 6" in record.logs
     assert record.wall_time < 1.0

@@ -145,7 +145,7 @@ def _task(framework_name, architecture=False, database="none", orm=False):
     task_id = "-".join([framework_name, "openapi", *suffix])
     return TaskSpec(
         id=task_id, kind="generation", framework=framework,
-        constraints=constraints, level=constraints.level, prompt="",
+        constraints=constraints, prompt="",
     )
 
 

@@ -1,13 +1,17 @@
+import json
+
 import pytest
 
+from constraintbench.composer import FRAMEWORKS, enumerate_variants
 from constraintbench.errors import MetricError, TaskSetupError
-from constraintbench.harness import RunRecord, write_campaign
+from constraintbench.harness import OUTCOMES, RunRecord, load_campaign, write_campaign
 from constraintbench.report import (
     METRICS_TABLES, TABLE_NAMES, build_report, score_campaign, write_tables,
 )
 from constraintbench.suite import AssertionOutcome, SuiteResult
 from constraintbench.taxonomy import FailureLabel, save_labels
 
+from test_harness import STAGE_FLAGS, STORED_FLAGS
 from test_metrics import synthetic_campaign
 
 
@@ -62,8 +66,6 @@ def results_dir(tmp_path):
 
 
 def test_score_campaign_shape(results_dir):
-    from constraintbench.harness import load_campaign
-
     campaign = score_campaign(load_campaign(results_dir))
     assert len(campaign.scores) == 24
     assert len(campaign.tasks) == 8
@@ -148,11 +150,41 @@ def test_environment_skipped_runs_not_scored(tmp_path):
     records[0].outcome = "env_skipped"
     out = tmp_path / "results"
     write_campaign(records, out, trials=3)
-    from constraintbench.harness import load_campaign
-
     campaign = score_campaign(load_campaign(out))
     assert len(campaign.scores) == 23
     assert campaign.skipped == 1
+
+
+def test_records_older_than_outcome_give_the_same_tables(tmp_path, conduit_collection):
+    """Records stored with the stage flags and no ``outcome`` score as the
+    same runs stored with ``outcome`` alone."""
+    tasks = enumerate_variants([FRAMEWORKS["flask"]])
+    labels = {"agent": "replay", "model": "golden"}
+    records = [
+        RunRecord.of(task, 0, "ok", "", conduit_collection, suite=_suite(1.0),
+                     verdict=(True, []), labels=labels)
+        for task in tasks
+    ]
+    records += [
+        RunRecord.of(tasks[index % len(tasks)], 1, outcome, "", conduit_collection,
+                     suite=_suite(0.5) if outcome == "ok" else None, labels=labels)
+        for index, outcome in enumerate(sorted(OUTCOMES))
+    ]
+    current, older = tmp_path / "current", tmp_path / "older"
+    write_campaign(records, current, trials=2, labels=labels)
+    write_campaign(records, older, trials=2, labels=labels)
+    for path in older.glob("*_t*.json"):
+        stored = json.loads(path.read_text(encoding="utf-8"))
+        stored.update(zip(STAGE_FLAGS, STORED_FLAGS[stored.pop("outcome")]))
+        path.write_text(json.dumps(stored, indent=2, sort_keys=True), encoding="utf-8")
+
+    assert all("outcome" not in record for record in load_campaign(older))
+    assert score_campaign(load_campaign(older)).skipped == 1
+    ours = write_tables(build_report(current), tmp_path / "current_tables")
+    theirs = write_tables(build_report(older), tmp_path / "older_tables")
+    assert [path.name for path in ours] == [path.name for path in theirs]
+    for path, other in zip(ours, theirs):
+        assert path.read_bytes() == other.read_bytes(), path.name
 
 
 def test_table_text_is_aligned(results_dir):

@@ -37,10 +37,12 @@ TABLE_COUNTS = {
 
 
 def test_shipped_collection_static_counts(conduit_collection):
-    counts = conduit_collection.static_counts()
-    assert counts["requests"] == 32
-    assert counts["assertions"] == 291
-    per_folder = {f["name"]: (f["requests"], f["assertions"]) for f in counts["folders"]}
+    per_folder = {
+        f.name: (len(f.requests), sum(len(r.assertions) for r in f.requests))
+        for f in conduit_collection.folders
+    }
+    assert sum(requests for requests, _ in per_folder.values()) == 32
+    assert sum(assertions for _, assertions in per_folder.values()) == 291
     assert per_folder == TABLE_COUNTS
 
 
@@ -56,8 +58,7 @@ def test_shipped_collection_is_what_the_build_tool_writes():
 
 def test_empty_collection_is_valid():
     collection = load_collection('{"name": "empty", "folders": []}')
-    counts = collection.static_counts()
-    assert counts["requests"] == 0 and counts["assertions"] == 0
+    assert collection.folders == []
 
 
 def test_collection_must_be_json():
@@ -229,7 +230,7 @@ def test_closed_port_fails_everything(conduit_collection):
     assert result.assertions_total == 291
     assert result.requests_executed == 0
     assert result.not_run.startswith("connection failed")
-    assert result.failed() == []
+    assert result.failures == []
 
 
 COMMENT_REQUESTS = {
@@ -243,7 +244,7 @@ COMMENT_REQUESTS = {
 def test_comments_disabled_fails_exactly_the_comment_assertions(conduit_collection):
     with ServerHandle(port=0, disabled=["comments"]) as server:
         result = run_suite(conduit_collection, server.base_url)
-    failed = result.failed()
+    failed = result.failures
     assert result.assertions_passed == 291 - sum(COMMENT_REQUESTS.values())
     per_request = {}
     for outcome in failed:
@@ -277,7 +278,7 @@ def test_other_feature_toggles_hand_counts(conduit_collection, group, expected):
     with ServerHandle(port=0, disabled=[group]) as server:
         result = run_suite(conduit_collection, server.base_url)
     per_request = {}
-    for outcome in result.failed():
+    for outcome in result.failures:
         per_request[outcome.request] = per_request.get(outcome.request, 0) + 1
     assert per_request == expected
     assert result.assertions_passed == 291 - sum(expected.values())
@@ -332,7 +333,7 @@ def test_stored_form_round_trips_every_outcome(conduit_collection):
         payload = _three_failed(details, executed)
         result = SuiteResult.from_record(payload, THREE_ASSERTIONS)
         assert result.not_run == not_run
-        assert len(result.failed()) == (0 if not_run else 3)
+        assert len(result.failures) == (0 if not_run else 3)
         if not_run:
             del payload["failed"]
             payload["not_run"] = not_run
@@ -400,7 +401,7 @@ def test_unreachable_result_shape(conduit_collection):
 
 
 def test_outcomes_are_immutable():
-    [outcome, *_] = SuiteResult.from_record(_three_failed("xyx", 0), THREE_ASSERTIONS).failed()
+    [outcome, *_] = SuiteResult.from_record(_three_failed("xyx", 0), THREE_ASSERTIONS).failures
     with pytest.raises(dataclasses.FrozenInstanceError):
         outcome.detail = "ok"
 
@@ -423,7 +424,7 @@ def test_many_suites_hold_one_set_of_outcomes(conduit_collection):
     # 200 suites' counts and folder tallies take about 0.15 MB; a list of 291
     # outcome references per suite would add 0.5 MB
     assert retained < 300_000
-    assert all(r.failed() == [] for r in held)
+    assert all(r.failures == [] for r in held)
 
 
 def test_suite_csv_row_count(conduit_collection):

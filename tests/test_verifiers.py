@@ -400,7 +400,7 @@ def _task(framework_name: str, constraints: ConstraintSet) -> TaskSpec:
     framework = FRAMEWORKS[framework_name]
     return TaskSpec(
         id="t", kind="generation", framework=framework,
-        constraints=constraints, level=constraints.level, prompt="",
+        constraints=constraints, prompt="",
     )
 
 

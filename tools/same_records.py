@@ -11,8 +11,10 @@ seed 1, each ``hard_boots`` defect once, and one diff that does not parse.
 Then it writes the report tables of each part.
 
 Every record is compared without ``wall_time``, and every other file (the
-campaign indexes and the tables) byte for byte. On the first difference the
-tool prints it and exits 1; otherwise it prints the counts and exits 0.
+campaign indexes and the tables) byte for byte. When anything differs, the
+tool prints each record key that differs with the number of records it
+differs in, then each other file that differs, then the first difference in
+detail, and exits 1. Otherwise it prints the counts and exits 0.
 """
 
 import json
@@ -20,6 +22,8 @@ import os
 import subprocess
 import sys
 import tempfile
+from collections import Counter
+from itertools import zip_longest
 from pathlib import Path
 
 THIS_CHECKOUT = Path(__file__).resolve().parents[1]
@@ -94,33 +98,58 @@ def record_without_wall_time(path: Path) -> dict | None:
     return payload
 
 
-def first_difference(ours: Path, theirs: Path) -> tuple[str | None, int, int]:
-    """The first difference between two campaign outputs, if any, and the
-    number of records and of other files compared."""
+def first_line_difference(name: str, ours: bytes, theirs: bytes) -> str:
+    """Where two different files first differ, line by line."""
+    lines = zip_longest(ours.splitlines(keepends=True), theirs.splitlines(keepends=True))
+    number, (here, there) = next(
+        (number, pair) for number, pair in enumerate(lines, 1) if pair[0] != pair[1]
+    )
+    return f"{name} differs at line {number}\n  here:  {here!r:.400}\n  there: {there!r:.400}"
+
+
+def differences(ours: Path, theirs: Path) -> tuple[list[str], int, int]:
+    """The lines that name every difference between two campaign outputs
+    (none when they are the same), and the number of records and of other
+    files compared."""
     our_files, their_files = files_under(ours), files_under(theirs)
     if set(our_files) != set(their_files):
         only_ours = sorted(set(our_files) - set(their_files))
         only_theirs = sorted(set(their_files) - set(our_files))
-        return f"files only here: {only_ours}; only there: {only_theirs}", 0, 0
+        return [f"files only here: {only_ours}; only there: {only_theirs}"], 0, 0
+    keys: Counter[str] = Counter()
+    files: list[str] = []
+    first = None
     records = others = 0
     for name in sorted(our_files):
         our_record = record_without_wall_time(our_files[name])
         if our_record is None:
             others += 1
-            if our_files[name].read_bytes() != their_files[name].read_bytes():
-                return f"{name} differs", records, others
+            ours_bytes, theirs_bytes = our_files[name].read_bytes(), their_files[name].read_bytes()
+            if ours_bytes != theirs_bytes:
+                files.append(name)
+                first = first or first_line_difference(name, ours_bytes, theirs_bytes)
             continue
         records += 1
-        their_record = record_without_wall_time(their_files[name])
-        if our_record != their_record:
-            keys = sorted(set(our_record) | set(their_record or {}))
-            key = next(k for k in keys if our_record.get(k) != (their_record or {}).get(k))
-            return (
+        their_record = record_without_wall_time(their_files[name]) or {}
+        differing = sorted(
+            key for key in set(our_record) | set(their_record)
+            if our_record.get(key) != their_record.get(key)
+        )
+        keys.update(differing)
+        if differing and first is None:
+            key = differing[0]
+            first = (
                 f"{name}: {key!r} differs\n  here:  {json.dumps(our_record.get(key))[:400]}\n"
-                f"  there: {json.dumps((their_record or {}).get(key))[:400]}",
-                records, others,
+                f"  there: {json.dumps(their_record.get(key))[:400]}"
             )
-    return None, records, others
+    lines = [
+        f"key {key!r} differs in {count} of {records} records"
+        for key, count in sorted(keys.items())
+    ]
+    lines += [f"file {name} differs" for name in files]
+    if first is not None:
+        lines.append(f"first difference: {first}")
+    return lines, records, others
 
 
 def main(argv: list[str]) -> int:
@@ -132,9 +161,9 @@ def main(argv: list[str]) -> int:
         ours, theirs = Path(scratch) / "this", Path(scratch) / "other"
         run_campaign(THIS_CHECKOUT, ours)
         run_campaign(other, theirs)
-        difference, records, others = first_difference(ours, theirs)
-    if difference is not None:
-        print(difference)
+        lines, records, others = differences(ours, theirs)
+    if lines:
+        print("\n".join(lines))
         return 1
     print(f"same: {records} records apart from wall_time, {others} other files byte for byte")
     return 0
