@@ -6,8 +6,9 @@ workspace_root, and the int and float fields, read as their defaults'
 types. ``#`` comments and ``[section]`` headers are tolerated and ignored.
 A ``#`` starts a comment only at the start of a line or after whitespace,
 so a ``#`` inside a value with no space before it is kept
-(``workspace_root = /tmp/runs#1``). A port_pool that names a port twice is
-rejected.
+(``workspace_root = /tmp/runs#1``). A port_pool that names a port twice, a
+port outside 1-65535 or a range that runs backwards is rejected, and so is
+a health_timeout that is not positive.
 """
 
 from __future__ import annotations
@@ -17,7 +18,7 @@ from dataclasses import fields
 from pathlib import Path
 
 from .errors import TaskSetupError
-from .harness import HarnessConfig, repeated_port
+from .harness import LEASABLE_PORTS, HarnessConfig, repeated_port
 from .verifiers import LayerAliasMap
 
 # key -> int or float, for every HarnessConfig field with such a default
@@ -33,11 +34,14 @@ def _parse_ports(raw: str) -> list[int]:
         piece = piece.strip()
         if not piece:
             continue
-        if "-" in piece:
-            low, _, high = piece.partition("-")
-            ports.extend(range(int(low), int(high) + 1))
-        else:
-            ports.append(int(piece))
+        first, dash, last = piece.partition("-")
+        low = int(first)
+        high = int(last) if dash else low
+        if not (low <= high and low in LEASABLE_PORTS and high in LEASABLE_PORTS):
+            raise TaskSetupError(
+                f"port_pool piece {piece!r} is not a port, or a rising range of ports, in 1-65535"
+            )
+        ports.extend(range(low, high + 1))
     if not ports:
         raise TaskSetupError("port_pool must contain at least one port")
     if (port := repeated_port(ports)) is not None:
@@ -70,7 +74,10 @@ def parse_config_text(text: str, base_dir: Path | None = None) -> HarnessConfig:
                 path = base_dir / path
             config.aliases = LayerAliasMap.from_file(path)
         else:
-            raise TaskSetupError(f"unknown config key {key!r} (line {line_number})")
+            hint = "; health_timeout alone sets the health wait" if key.startswith("health_") else ""
+            raise TaskSetupError(f"unknown config key {key!r} (line {line_number}){hint}")
+    if not config.health_timeout > 0:
+        raise TaskSetupError(f"health_timeout must be positive, not {config.health_timeout}")
     return config
 
 

@@ -38,6 +38,7 @@ logger = logging.getLogger(__name__)
 
 GROUP_EXIT_POLL_S = 0.005  # teardown's check for killed group members to be gone
 PORT_PROBE_TIMEOUT_S = 0.5  # the pre-launch check that a leased port is free
+LEASABLE_PORTS = range(1, 65536)  # the ports a port_pool may hold
 
 
 @dataclass
@@ -45,9 +46,7 @@ class HarnessConfig:
     port_pool: list[int] = field(default_factory=lambda: list(range(8080, 8100)))
     workers: int = 1
     request_timeout: float = 10.0
-    health_interval: float = 0.5
-    health_max_attempts: int = 20
-    health_total_timeout: float = 120.0
+    health_timeout: float = 9.5
     setup_timeout: float = 180.0
     provider_timeout: float = 600.0
     shutdown_grace: float = 5.0
@@ -536,13 +535,7 @@ def _run_stages(
             )
 
         base_url = f"http://127.0.0.1:{workspace.port}/api"
-        if not poll_health(
-            base_url,
-            interval=config.health_interval,
-            max_attempts=config.health_max_attempts,
-            total_timeout=config.health_total_timeout,
-            alive=lambda: _group_alive(process),
-        ):
+        if not poll_health(base_url, config.health_timeout, alive=lambda: _group_alive(process)):
             if _group_alive(process):
                 return "health_timeout", None
             log_parts.append(
@@ -626,6 +619,11 @@ def run_campaign(
         raise ValueError("port_pool must hold at least one port")
     if (port := repeated_port(config.port_pool)) is not None:
         raise ValueError(f"port_pool names port {port} more than once")
+    for port in config.port_pool:
+        if port not in LEASABLE_PORTS:
+            raise ValueError(f"port_pool names port {port}, outside 1-65535")
+    if not config.health_timeout > 0:
+        raise ValueError("health_timeout must be positive")
     # each run leases a port for its whole duration, so no two runs share one
     ports: queue.Queue[int] = queue.Queue()
     for port in config.port_pool:

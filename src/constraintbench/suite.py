@@ -32,12 +32,13 @@ _HTTP_METHODS = ("GET", "POST", "PUT", "DELETE", "PATCH", "HEAD", "OPTIONS")
 # poll_health probes again, while the port refuses the connection, after
 # 1/CONNECT_GAP_DIVISOR of the time waited so far, clamped to
 # [CONNECT_GAP_MIN_S, REPROBE_CAP_S]; once it accepts, after REPROBE_FIRST_S,
-# then at gaps doubling up to REPROBE_CAP_S. A probe may take the time left to
-# give up, but PROBE_FLOOR_S.
+# then at gaps doubling up to REPROBE_CAP_S. A probe may take PROBE_TIMEOUT_S,
+# or the time left to give up if that is shorter, but at least PROBE_FLOOR_S.
 CONNECT_GAP_DIVISOR = 20
 CONNECT_GAP_MIN_S = 0.001
 REPROBE_FIRST_S = 0.01
 REPROBE_CAP_S = 0.05
+PROBE_TIMEOUT_S = 5.0
 PROBE_FLOOR_S = 0.01
 
 _TYPE_CHECKS = {
@@ -486,36 +487,30 @@ def unreachable_result(collection: TestCollection, detail: str) -> SuiteResult:
 
 
 def poll_health(
-    base_url: str,
-    interval: float = 5.0,
-    max_attempts: int = 24,
-    total_timeout: float = 120.0,
-    request_timeout: float = 5.0,
-    alive: Callable[[], bool] | None = None,
+    base_url: str, timeout: float, alive: Callable[[], bool] | None = None
 ) -> bool:
-    """True iff GET {base_url}/health-check answers 200 within both limits.
+    """True iff GET {base_url}/health-check answers 200 within ``timeout`` seconds.
 
-    The wait gives up ``interval * min(max_attempts - 1, total_timeout //
-    interval)`` seconds after it starts, even while a server holds a probe
-    unanswered. A probe is one GET. Between probes it sleeps by one of two
-    gap rules, each capped by ``interval`` and by the time left: while the
-    port refuses the connection, a twentieth of the time waited; after any
-    other failure, ``REPROBE_FIRST_S``, doubling up to ``REPROBE_CAP_S``.
+    The wait gives up ``timeout`` seconds after it starts, even while a server
+    holds a probe unanswered. A probe is one GET. Between probes it sleeps by
+    one of two gap rules, each capped by the time left: while the port
+    refuses the connection, a twentieth of the time waited; after any other
+    failure, ``REPROBE_FIRST_S``, doubling up to ``REPROBE_CAP_S``.
     ``alive``, when given, is asked before every probe; once it answers
     False the wait ends with no further probe, since whatever answers then
     is not the server being waited for.
     """
-    if interval <= 0:
-        raise ValueError("interval must be positive")
+    if not timeout > 0:
+        raise ValueError("timeout must be positive")
     url = base_url.rstrip("/") + "/health-check"
     started = time.monotonic()
-    deadline = started + interval * min(max_attempts - 1, total_timeout // interval)
+    deadline = started + timeout
     http_gap = REPROBE_FIRST_S
-    while max_attempts > 0 and (alive is None or alive()):
-        timeout = min(request_timeout, max(deadline - time.monotonic(), PROBE_FLOOR_S))
+    while alive is None or alive():
+        probe_timeout = min(PROBE_TIMEOUT_S, max(deadline - time.monotonic(), PROBE_FLOOR_S))
         refused = False
         try:
-            status, _ = _http_request(url, "GET", {}, None, timeout)
+            status, _ = _http_request(url, "GET", {}, None, probe_timeout)
             if status == 200:
                 return True
         except (OSError, http.client.HTTPException) as exc:
@@ -527,5 +522,5 @@ def poll_health(
             gap = min(max((now - started) / CONNECT_GAP_DIVISOR, CONNECT_GAP_MIN_S), REPROBE_CAP_S)
         else:
             gap, http_gap = http_gap, min(2 * http_gap, REPROBE_CAP_S)
-        time.sleep(min(gap, interval, deadline - now))
+        time.sleep(min(gap, deadline - now))
     return False

@@ -50,9 +50,7 @@ def _ok(name: str):
 def harness_config(tmp_path):
     return HarnessConfig(
         port_pool=[8121, 8122],
-        health_interval=0.15,
-        health_max_attempts=40,
-        health_total_timeout=30,
+        health_timeout=5.85,
         workspace_root=str(tmp_path / "ws"),
         pg_url=None,
     )

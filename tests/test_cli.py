@@ -144,8 +144,7 @@ def _write_config(tmp_path):
         "# harness settings\n"
         "port_pool = 8111-8113\n"
         "workers = 1\n"
-        "health_interval = 0.15\n"
-        "health_max_attempts = 30\n"
+        "health_timeout = 4.35\n"
     )
     return config
 

@@ -129,6 +129,14 @@ def test_node_prompt_port():
     assert "SQLite" in prompt
 
 
+def test_every_prompt_says_to_listen_on_the_port_the_harness_exports():
+    # runs lease ports from a pool and get theirs in PORT; the framework's
+    # own port is only the fallback when PORT is unset
+    for task in enumerate_variants(ALL_FRAMEWORKS):
+        assert "the **`PORT`** environment variable" in task.prompt, task.id
+        assert "`http://localhost:$PORT/api`" in task.prompt, task.id
+
+
 def test_prompt_always_starts_with_contract():
     prompt = render_prompt(FRAMEWORKS["koa"], ConstraintSet())
     assert prompt.startswith('openapi: "3.0.1"')

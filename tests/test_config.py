@@ -1,5 +1,7 @@
 import json
+import re
 from dataclasses import fields
+from pathlib import Path
 
 import pytest
 
@@ -28,9 +30,7 @@ def test_all_documented_keys(tmp_path):
         "port_pool = 8200-8203\n"
         "workers = 3  # a trailing comment\n"
         "request_timeout = 5\n"
-        "health_interval = 0.25\n"
-        "health_max_attempts = 10\n"
-        "health_total_timeout = 60\n"
+        "health_timeout = 2.5\n"
         "setup_timeout = 30\n"
         "provider_timeout = 90\n"
         "shutdown_grace = 2\n"
@@ -77,9 +77,13 @@ NUMBER_FIELDS = [f.name for f in fields(HarnessConfig) if type(f.default) in (in
 
 def test_number_fields_are_the_documented_keys():
     assert set(NUMBER_FIELDS) == {
-        "workers", "request_timeout", "health_interval", "health_max_attempts",
-        "health_total_timeout", "setup_timeout", "provider_timeout", "shutdown_grace",
+        "workers", "request_timeout", "health_timeout", "setup_timeout", "provider_timeout",
+        "shutdown_grace",
     }
+    readme = (Path(__file__).parents[1] / "README.md").read_text(encoding="utf-8")
+    section = readme.split("\n## Configuration\n", 1)[1].split("\n## ", 1)[0]
+    documented = re.findall(r"^\| `(\w+)` \|", section, flags=re.M)
+    assert sorted(documented) == sorted(f.name for f in fields(HarnessConfig))
 
 
 @pytest.mark.parametrize("name", NUMBER_FIELDS)
@@ -98,11 +102,11 @@ def test_hash_inside_a_value_is_kept(line, key, value):
     assert getattr(parse_config_text(line), key) == value
 
 
-def test_repeated_port_rejected(tmp_path, capsys):
-    with pytest.raises(TaskSetupError, match="port 8084"):
-        parse_config_text("port_pool = 8080-8085,8084")
+def _evaluate_with_config(tmp_path, capsys, text: str) -> tuple[int, str]:
+    """``evaluate`` over one composed task with ``text`` as its config file:
+    the exit code and standard error."""
     config_file = tmp_path / "bench.cfg"
-    config_file.write_text("port_pool = 8080-8085,8084\n")
+    config_file.write_text(text)
     tasks = tmp_path / "tasks"
     assert main(["compose", "--frameworks", "flask", "--levels", "L0", "--out", str(tasks)]) == 0
     capsys.readouterr()
@@ -110,6 +114,42 @@ def test_repeated_port_rejected(tmp_path, capsys):
         "evaluate", "--tasks", str(tasks), "--provider", f"recorded:{tmp_path}",
         "--out", str(tmp_path / "results"), "--config", str(config_file),
     ])
+    return code, capsys.readouterr().err
+
+
+def test_repeated_port_rejected(tmp_path, capsys):
+    with pytest.raises(TaskSetupError, match="port 8084"):
+        parse_config_text("port_pool = 8080-8085,8084")
+    code, err = _evaluate_with_config(tmp_path, capsys, "port_pool = 8080-8085,8084\n")
     assert code == 2
-    assert "port 8084" in capsys.readouterr().err
+    assert "port 8084" in err
+    assert not (tmp_path / "results").exists()
+
+
+@pytest.mark.parametrize("text,message", [
+    ("health_timeout = 0", "health_timeout must be positive"),
+    ("health_timeout = -1.5", "health_timeout must be positive"),
+    ("health_timeout = nan", "health_timeout must be positive"),
+    ("health_interval = 0.5", "unknown config key 'health_interval'.*health_timeout"),
+    ("health_max_attempts = 20", "unknown config key 'health_max_attempts'.*health_timeout"),
+    ("health_total_timeout = 120", "unknown config key 'health_total_timeout'.*health_timeout"),
+    ("port_pool = 8080, 9005-9000", "piece '9005-9000'"),
+    ("port_pool = 0, 8080", "piece '0'"),
+    ("port_pool = 8080, 70000", "piece '70000'"),
+    ("port_pool = 65530-65536", "piece '65530-65536'"),
+])
+def test_a_value_no_run_could_use_is_rejected(text, message):
+    with pytest.raises(TaskSetupError, match=message):
+        parse_config_text(text)
+
+
+@pytest.mark.parametrize("text,named", [
+    ("health_interval = 0.5\n", "health_timeout"),
+    ("health_timeout = 0\n", "health_timeout must be positive"),
+    ("port_pool = 8080, 9005-9000\n", "9005-9000"),
+])
+def test_a_config_no_run_could_use_exits_2_before_any_run(tmp_path, capsys, text, named):
+    code, err = _evaluate_with_config(tmp_path, capsys, text)
+    assert code == 2
+    assert named in err
     assert not (tmp_path / "results").exists()

@@ -62,9 +62,7 @@ def mini_collection():
 def config(tmp_path):
     return HarnessConfig(
         port_pool=[8101, 8102, 8103],
-        health_interval=0.15,
-        health_max_attempts=25,
-        health_total_timeout=20,
+        health_timeout=3.6,
         workspace_root=str(tmp_path / "ws"),
         pg_url=None,
     )
@@ -408,7 +406,7 @@ def test_evaluate_keeps_the_verdict_when_the_server_answers_garbage(mini_collect
     files = layered_files()
     files["run.sh"] = ("#!/bin/sh\nexec python3 garbage.py\n", True)
     files["garbage.py"] = (GARBAGE_SERVER, False)
-    config.health_max_attempts = 3
+    config.health_timeout = 0.3
     record = evaluate_phase(_l3_task(), files_to_diff(files), mini_collection, config=config)
     assert record.outcome == "health_timeout"
     assert record.patch_applied is True
@@ -576,6 +574,20 @@ def test_campaign_rejects_a_repeated_port(mini_collection, flask_l0):
                      mini_collection, config=config)
 
 
+@pytest.mark.parametrize("overrides,message", [
+    ({"port_pool": [8145, 0]}, "port 0, outside 1-65535"),
+    ({"port_pool": [70000]}, "port 70000, outside 1-65535"),
+    ({"health_timeout": 0}, "health_timeout must be positive"),
+    ({"health_timeout": -1.0}, "health_timeout must be positive"),
+])
+def test_campaign_rejects_a_config_no_run_could_use(mini_collection, flask_l0, overrides,
+                                                     message):
+    config = HarnessConfig(pg_url=None, **overrides)
+    with pytest.raises(ValueError, match=message):
+        run_campaign([flask_l0], PatchProvider("recorded_directory", "unused"), 1,
+                     mini_collection, config=config)
+
+
 def test_campaign_rejects_an_empty_port_pool(mini_collection, flask_l0):
     config = HarnessConfig(port_pool=[], pg_url=None)
     raised: list[Exception] = []
@@ -625,7 +637,7 @@ def test_evaluate_composed_task_with_default_setup(mini_collection, config):
 def test_campaign_parallel_workers(tmp_path, conduit_collection, flask_l0):
     config = HarnessConfig(
         port_pool=[8131, 8132], workers=2,
-        health_interval=0.15, health_max_attempts=40, health_total_timeout=30,
+        health_timeout=5.85,
         workspace_root=str(tmp_path / "ws"),
     )
     patches = tmp_path / "patches"
@@ -648,8 +660,8 @@ def test_group_alive_ignores_zombie_orphans(tmp_path):
     process = subprocess.Popen(["bash", "run.sh"], cwd=tmp_path, start_new_session=True)
     started = time.monotonic()
     try:
-        healthy = poll_health(f"http://127.0.0.1:{port}/api", interval=0.5, max_attempts=20,
-                              total_timeout=20, alive=lambda: harness._group_alive(process))
+        healthy = poll_health(f"http://127.0.0.1:{port}/api", timeout=9.5,
+                              alive=lambda: harness._group_alive(process))
         waited = time.monotonic() - started
     finally:
         harness._terminate(process, 1.0)
@@ -702,8 +714,7 @@ STORED_RUNS = {
 def stored_runs(tmp_path_factory, conduit_collection):
     """Each kind of run once: (task, in-memory record, its stored JSON)."""
     config = HarnessConfig(
-        port_pool=[8104], health_interval=0.15, health_max_attempts=25,
-        health_total_timeout=20, pg_url=None,
+        port_pool=[8104], health_timeout=3.6, pg_url=None,
         workspace_root=str(tmp_path_factory.mktemp("ws")),
     )
     runs = {}
@@ -941,7 +952,7 @@ def test_overlapped_verification_keeps_every_record(
     """Records equal those of the earlier order, where the patch was parsed
     and verified before the workspace was made, apart from ``wall_time``."""
     config = HarnessConfig(
-        port_pool=[8105], health_interval=0.1, health_max_attempts=13, health_total_timeout=20,
+        port_pool=[8105], health_timeout=1.2,
         workspace_root=str(tmp_path / "ws"), pg_url=None,
     )
     no_run_sh = layered_files()

@@ -460,18 +460,14 @@ def test_suite_csv_has_a_row_for_every_assertion(conduit_collection):
 
 def test_poll_health_immediate(conduit_collection):
     with ServerHandle(port=0) as server:
-        assert poll_health(server.base_url, interval=0.1, max_attempts=3, total_timeout=2)
+        assert poll_health(server.base_url, timeout=0.2)
 
 
 def test_poll_health_never_starts_respects_bounds():
     start = time.monotonic()
-    ok = poll_health(
-        "http://127.0.0.1:1/api", interval=0.2, max_attempts=5,
-        total_timeout=10, request_timeout=0.5,
-    )
+    ok = poll_health("http://127.0.0.1:1/api", timeout=0.8)
     elapsed = time.monotonic() - start
     assert ok is False
-    # 5 attempts at 0.2 s intervals: well under the 10 s budget
     assert elapsed < 5
 
 
@@ -483,14 +479,11 @@ def test_poll_health_gives_up_on_a_server_that_never_answers():
         silent.listen(8)
         port = silent.getsockname()[1]
         start = time.monotonic()
-        ok = poll_health(
-            f"http://127.0.0.1:{port}/api", interval=0.2, max_attempts=5,
-            total_timeout=10, request_timeout=1.0,
-        )
+        ok = poll_health(f"http://127.0.0.1:{port}/api", timeout=0.8)
         elapsed = time.monotonic() - start
     assert ok is False
-    # give-up point: (5 - 1) * 0.2 s after the start, whatever the probes' timeout
-    assert (5 - 1) * 0.2 <= elapsed < 1.2
+    # give-up point: 0.8 s after the start, however long a probe may wait
+    assert 0.8 <= elapsed < 1.2
 
 
 # replies that are not HTTP (BadStatusLine) or end before their body (IncompleteRead)
@@ -538,8 +531,7 @@ def test_run_suite_fails_the_requests_a_malformed_reply_answers(error):
 def test_poll_health_treats_a_malformed_reply_as_not_healthy(error):
     with malformed_server(MALFORMED_REPLIES[error]) as base_url:
         start = time.monotonic()
-        ok = poll_health(base_url, interval=0.1, max_attempts=3, total_timeout=2,
-                         request_timeout=1)
+        ok = poll_health(base_url, timeout=0.2)
         elapsed = time.monotonic() - start
     assert ok is False
     assert elapsed < 1.0
@@ -556,18 +548,16 @@ def test_poll_health_server_starts_late():
     thread = threading.Thread(target=delayed_start)
     thread.start()
     try:
-        ok = poll_health(
-            f"http://127.0.0.1:{port}/api", interval=0.2, max_attempts=30, total_timeout=10
-        )
+        ok = poll_health(f"http://127.0.0.1:{port}/api", timeout=5.8)
         assert ok is True
     finally:
         thread.join()
         handle.stop()
 
 
-def test_poll_health_interval_must_be_positive():
+def test_poll_health_timeout_must_be_positive():
     with pytest.raises(ValueError):
-        poll_health("http://127.0.0.1:1/api", interval=0)
+        poll_health("http://127.0.0.1:1/api", timeout=0)
 
 
 def _free_port() -> int:
@@ -588,16 +578,14 @@ def test_poll_health_finds_late_server_between_scheduled_probes():
     start = time.monotonic()
     thread.start()
     try:
-        ok = poll_health(
-            f"http://127.0.0.1:{port}/api", interval=2.0, max_attempts=5, total_timeout=10
-        )
+        ok = poll_health(f"http://127.0.0.1:{port}/api", timeout=8.0)
         elapsed = time.monotonic() - start
     finally:
         thread.join(timeout=5)
         for handle in handles:
             handle.stop()
     assert ok is True
-    # the next scheduled probe would come at 2 s
+    # probes every 2 s would find it only at 2 s
     assert elapsed < 1.0
 
 
@@ -609,21 +597,17 @@ def test_poll_health_alive_keeps_full_give_up_schedule():
         return True
 
     start = time.monotonic()
-    ok = poll_health(
-        "http://127.0.0.1:1/api", interval=0.2, max_attempts=4,
-        total_timeout=10, request_timeout=0.5, alive=alive,
-    )
+    ok = poll_health("http://127.0.0.1:1/api", timeout=0.6, alive=alive)
     elapsed = time.monotonic() - start
     assert ok is False
-    assert elapsed >= (4 - 1) * 0.2
-    assert len(asked) > 4  # re-probes ran between the scheduled ones
+    assert elapsed >= 0.6
+    assert len(asked) > 4  # asked before each of the many probes, not only a few
 
 
 def test_poll_health_stops_soon_after_alive_turns_false():
     dies_at = time.monotonic() + 0.3
     ok = poll_health(
-        "http://127.0.0.1:1/api", interval=0.5, max_attempts=20,
-        total_timeout=30, request_timeout=0.5, alive=lambda: time.monotonic() < dies_at,
+        "http://127.0.0.1:1/api", timeout=9.5, alive=lambda: time.monotonic() < dies_at
     )
     assert ok is False
     assert time.monotonic() - dies_at < 0.2
@@ -632,8 +616,7 @@ def test_poll_health_stops_soon_after_alive_turns_false():
 def test_poll_health_never_probes_once_not_alive():
     # whatever answers on the port is not the server being waited for
     with ServerHandle(port=0) as server:
-        assert poll_health(server.base_url, interval=0.1, max_attempts=3,
-                           alive=lambda: False) is False
+        assert poll_health(server.base_url, timeout=0.2, alive=lambda: False) is False
 
 
 class FakeClock:
@@ -654,10 +637,8 @@ class FakeClock:
 def test_poll_health_connects_again_after_a_twentieth_of_the_time_waited(monkeypatch):
     clock = FakeClock()
     monkeypatch.setattr(suite, "time", clock)
-    ok = poll_health("http://127.0.0.1:1/api", interval=0.2, max_attempts=5,
-                     total_timeout=10, request_timeout=0.5)
+    ok = poll_health("http://127.0.0.1:1/api", timeout=0.8)
     assert ok is False
-    # the give-up point stays (5 - 1) * 0.2 s after the start
     assert clock.now == pytest.approx(0.8)
     assert clock.sleeps[0] == (0.0, 0.001)
     for when, slept in clock.sleeps:
@@ -697,8 +678,7 @@ def test_poll_health_sends_one_request_on_each_connection_it_opens(monkeypatch):
     thread = threading.Thread(target=server.serve_forever, args=(0.01,), daemon=True)
     thread.start()
     try:
-        ok = poll_health(f"http://127.0.0.1:{server.server_address[1]}/api", interval=0.5,
-                         max_attempts=20, total_timeout=10, request_timeout=2)
+        ok = poll_health(f"http://127.0.0.1:{server.server_address[1]}/api", timeout=9.5)
     finally:
         server.shutdown()
         server.server_close()  # waits for the handler threads
