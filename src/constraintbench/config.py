@@ -6,9 +6,11 @@ workspace_root, and the int and float fields, read as their defaults'
 types. ``#`` comments and ``[section]`` headers are tolerated and ignored.
 A ``#`` starts a comment only at the start of a line or after whitespace,
 so a ``#`` inside a value with no space before it is kept
-(``workspace_root = /tmp/runs#1``). A port_pool that names a port twice, a
-port outside 1-65535 or a range that runs backwards is rejected, and so is
-a health_timeout that is not positive.
+(``workspace_root = /tmp/runs#1``). A number that does not parse, or a
+port_pool piece that is not a port or a rising range of ports in 1-65535,
+is rejected with its line. The loaded config must then pass
+``HarnessConfig.check``: every float field finite and positive, and a port
+pool that is not empty and names no port twice.
 """
 
 from __future__ import annotations
@@ -18,7 +20,7 @@ from dataclasses import fields
 from pathlib import Path
 
 from .errors import TaskSetupError
-from .harness import LEASABLE_PORTS, HarnessConfig, repeated_port
+from .harness import LEASABLE_PORTS, HarnessConfig
 from .verifiers import LayerAliasMap
 
 # key -> int or float, for every HarnessConfig field with such a default
@@ -28,24 +30,25 @@ _NUMBER_TYPES = {
 _COMMENT = re.compile(r"(?:^|\s)#")
 
 
-def _parse_ports(raw: str) -> list[int]:
+def _parse_ports(raw: str, line_number: int) -> list[int]:
     ports: list[int] = []
     for piece in raw.split(","):
         piece = piece.strip()
         if not piece:
             continue
         first, dash, last = piece.partition("-")
-        low = int(first)
-        high = int(last) if dash else low
-        if not (low <= high and low in LEASABLE_PORTS and high in LEASABLE_PORTS):
+        try:
+            low = int(first)
+            high = int(last) if dash else low
+            valid = low <= high and low in LEASABLE_PORTS and high in LEASABLE_PORTS
+        except ValueError:
+            valid = False
+        if not valid:
             raise TaskSetupError(
-                f"port_pool piece {piece!r} is not a port, or a rising range of ports, in 1-65535"
+                f"port_pool piece {piece!r} (line {line_number}) is not a port, "
+                "or a rising range of ports, in 1-65535"
             )
         ports.extend(range(low, high + 1))
-    if not ports:
-        raise TaskSetupError("port_pool must contain at least one port")
-    if (port := repeated_port(ports)) is not None:
-        raise TaskSetupError(f"port_pool names port {port} more than once")
     return ports
 
 
@@ -61,9 +64,16 @@ def parse_config_text(text: str, base_dir: Path | None = None) -> HarnessConfig:
         key = key.strip()
         value = value.strip().strip("\"'")
         if key == "port_pool":
-            config.port_pool = _parse_ports(value)
+            config.port_pool = _parse_ports(value, line_number)
         elif key in _NUMBER_TYPES:
-            setattr(config, key, _NUMBER_TYPES[key](value))
+            kind = _NUMBER_TYPES[key]
+            try:
+                setattr(config, key, kind(value))
+            except ValueError:
+                raise TaskSetupError(
+                    f"config key {key!r} (line {line_number}) is not "
+                    f"{'a whole number' if kind is int else 'a number'}: {value!r}"
+                ) from None
         elif key == "pg_url":
             config.pg_url = value or None
         elif key == "workspace_root":
@@ -76,8 +86,10 @@ def parse_config_text(text: str, base_dir: Path | None = None) -> HarnessConfig:
         else:
             hint = "; health_timeout alone sets the health wait" if key.startswith("health_") else ""
             raise TaskSetupError(f"unknown config key {key!r} (line {line_number}){hint}")
-    if not config.health_timeout > 0:
-        raise TaskSetupError(f"health_timeout must be positive, not {config.health_timeout}")
+    try:
+        config.check()
+    except ValueError as exc:
+        raise TaskSetupError(str(exc)) from None
     return config
 
 

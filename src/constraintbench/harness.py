@@ -11,9 +11,11 @@ against.
 
 from __future__ import annotations
 
+import dataclasses
 import functools
 import json
 import logging
+import math
 import os
 import queue
 import shutil
@@ -23,7 +25,7 @@ import subprocess
 import tempfile
 import time
 from collections import Counter
-from collections.abc import Callable
+from collections.abc import Callable, Iterator
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -60,6 +62,22 @@ class HarnessConfig:
         if config.pg_url is None:
             config.pg_url = os.environ.get("PG_URL") or None
         return config
+
+    def check(self) -> None:
+        """Raise ValueError unless a run could use this config: every float
+        field (a number of seconds) is finite and positive, and the port pool
+        holds at least one port, none twice and each in 1-65535."""
+        for spec in dataclasses.fields(self):
+            value = getattr(self, spec.name)
+            if type(spec.default) is float and not (value > 0 and math.isfinite(value)):
+                raise ValueError(f"{spec.name} must be positive and finite, not {value}")
+        if not self.port_pool:
+            raise ValueError("port_pool must hold at least one port")
+        for port, count in Counter(self.port_pool).items():
+            if count > 1:
+                raise ValueError(f"port_pool names port {port} more than once")
+            if port not in LEASABLE_PORTS:
+                raise ValueError(f"port_pool names port {port}, outside 1-65535")
 
 
 @dataclass
@@ -593,11 +611,6 @@ def run_one(
     return record
 
 
-def repeated_port(ports: list[int]) -> int | None:
-    """The first port that ``ports`` names more than once, if any."""
-    return next((port for port, count in Counter(ports).items() if count > 1), None)
-
-
 def run_campaign(
     tasks: list[TaskSpec],
     provider: PatchProvider,
@@ -615,15 +628,7 @@ def run_campaign(
     if trials < 1:
         raise ValueError("trials must be >= 1")
     config = config or HarnessConfig.from_env()
-    if not config.port_pool:
-        raise ValueError("port_pool must hold at least one port")
-    if (port := repeated_port(config.port_pool)) is not None:
-        raise ValueError(f"port_pool names port {port} more than once")
-    for port in config.port_pool:
-        if port not in LEASABLE_PORTS:
-            raise ValueError(f"port_pool names port {port}, outside 1-65535")
-    if not config.health_timeout > 0:
-        raise ValueError("health_timeout must be positive")
+    config.check()
     # each run leases a port for its whole duration, so no two runs share one
     ports: queue.Queue[int] = queue.Queue()
     for port in config.port_pool:
@@ -671,11 +676,16 @@ def write_campaign(records: list[RunRecord], out_dir, trials: int, labels: dict 
     (out / "campaign.json").write_text(json.dumps(index, indent=2, sort_keys=True), encoding="utf-8")
 
 
-def load_campaign(results_dir) -> list[dict]:
-    """Load raw RunRecord dicts from a results directory via its index."""
+def load_campaign(results_dir) -> Iterator[dict]:
+    """Raw RunRecord dicts from a results directory, in its index's order.
+
+    The index is read, and a missing one raises, when this is called; each
+    record file is read and parsed only as the iterator reaches it, so a
+    reader that keeps what it needs from each holds one record at a time.
+    """
     results = Path(results_dir)
     index_file = results / "campaign.json"
     if not index_file.exists():
         raise TaskSetupError(f"no campaign index at {index_file}")
     index = json.loads(index_file.read_text())
-    return [json.loads((results / name).read_text()) for name in index["runs"]]
+    return (json.loads((results / name).read_text()) for name in index["runs"])

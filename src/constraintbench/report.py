@@ -9,6 +9,7 @@ from __future__ import annotations
 import csv
 import io
 import json
+from collections.abc import Iterable
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -79,8 +80,11 @@ class ScoredCampaign:
         ]
 
 
-def score_campaign(records: list[dict]) -> ScoredCampaign:
-    """RunRecord dicts -> RunScores plus task metadata for pairing/grouping."""
+def score_campaign(records: Iterable[dict]) -> ScoredCampaign:
+    """RunRecord dicts -> RunScores plus task metadata for pairing/grouping.
+
+    Only each record's score, task and config are kept, so ``records`` may
+    be a lazy iterator such as ``load_campaign``'s."""
     scores = []
     tasks: dict[str, TaskSpec] = {}
     configs = set()

@@ -405,6 +405,12 @@ def evaluate_assertion(assertion: Assertion, status: int, body, variables: dict)
     return False, f"{assertion.target} is {found!r}, expected {expected!r} (prior {prior!r})"
 
 
+# Every probe and suite request goes to the run's own server, never through a
+# proxy: urlopen's default opener would read http_proxy / HTTP_PROXY, and a
+# no_proxy of localhost does not cover 127.0.0.1.
+_OPENER = urllib.request.build_opener(urllib.request.ProxyHandler({}))
+
+
 def _http_request(url: str, method: str, headers: dict, body_bytes, timeout: float):
     request = urllib.request.Request(url, data=body_bytes, method=method)
     for key, value in headers.items():
@@ -412,7 +418,7 @@ def _http_request(url: str, method: str, headers: dict, body_bytes, timeout: flo
     if body_bytes is not None and "Content-Type" not in headers:
         request.add_header("Content-Type", "application/json")
     try:
-        with urllib.request.urlopen(request, timeout=timeout) as response:
+        with _OPENER.open(request, timeout=timeout) as response:
             return response.status, response.read()
     except urllib.error.HTTPError as error:
         return error.code, error.read()

@@ -73,6 +73,7 @@ def test_pg_url_from_env(monkeypatch):
 
 
 NUMBER_FIELDS = [f.name for f in fields(HarnessConfig) if type(f.default) in (int, float)]
+FLOAT_FIELDS = [f.name for f in fields(HarnessConfig) if type(f.default) is float]
 
 
 def test_number_fields_are_the_documented_keys():
@@ -117,6 +118,20 @@ def _evaluate_with_config(tmp_path, capsys, text: str) -> tuple[int, str]:
     return code, capsys.readouterr().err
 
 
+@pytest.mark.parametrize("text,message", [
+    ("workers = two", "key 'workers' (line 2) is not a whole number: 'two'"),
+    ("request_timeout = ten", "key 'request_timeout' (line 2) is not a number: 'ten'"),
+    ("port_pool = 8080, 80a0", "piece '80a0' (line 2)"),
+])
+def test_a_value_that_is_not_a_number_names_its_key_and_line(tmp_path, capsys, text, message):
+    with pytest.raises(TaskSetupError, match=re.escape(message)):
+        parse_config_text(f"[harness]\n{text}\n")
+    code, err = _evaluate_with_config(tmp_path, capsys, f"[harness]\n{text}\n")
+    assert code == 2
+    assert message in err
+    assert not (tmp_path / "results").exists()
+
+
 def test_repeated_port_rejected(tmp_path, capsys):
     with pytest.raises(TaskSetupError, match="port 8084"):
         parse_config_text("port_pool = 8080-8085,8084")
@@ -137,6 +152,9 @@ def test_repeated_port_rejected(tmp_path, capsys):
     ("port_pool = 0, 8080", "piece '0'"),
     ("port_pool = 8080, 70000", "piece '70000'"),
     ("port_pool = 65530-65536", "piece '65530-65536'"),
+    ("port_pool = ,", "port_pool must hold at least one port"),
+    *[(f"{name} = {value}", f"{name} must be positive and finite")
+      for name in FLOAT_FIELDS for value in ("0", "-5", "inf", "nan")],
 ])
 def test_a_value_no_run_could_use_is_rejected(text, message):
     with pytest.raises(TaskSetupError, match=message):

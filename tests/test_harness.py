@@ -579,6 +579,9 @@ def test_campaign_rejects_a_repeated_port(mini_collection, flask_l0):
     ({"port_pool": [70000]}, "port 70000, outside 1-65535"),
     ({"health_timeout": 0}, "health_timeout must be positive"),
     ({"health_timeout": -1.0}, "health_timeout must be positive"),
+    *[({f.name: value}, f"{f.name} must be positive and finite")
+      for f in dataclasses.fields(HarnessConfig) if type(f.default) is float
+      for value in (0.0, -5.0, float("inf"), float("nan"))],
 ])
 def test_campaign_rejects_a_config_no_run_could_use(mini_collection, flask_l0, overrides,
                                                      message):

@@ -1,4 +1,6 @@
+import dataclasses
 import json
+import tracemalloc
 
 import pytest
 
@@ -185,6 +187,26 @@ def test_records_older_than_outcome_give_the_same_tables(tmp_path, conduit_colle
     assert [path.name for path in ours] == [path.name for path in theirs]
     for path, other in zip(ours, theirs):
         assert path.read_bytes() == other.read_bytes(), path.name
+
+
+def test_report_holds_one_record_at_a_time(tmp_path):
+    """200 records with a 100 KB diff each are 20 MB on disk; the report
+    keeps only each record's score, task and config."""
+    template = synthetic_records()[0]
+    records = [
+        dataclasses.replace(template, trial=trial, diff=f"{trial}\n" + "+x\n" * 34_000)
+        for trial in range(200)
+    ]
+    out = tmp_path / "results"
+    write_campaign(records, out, trials=200)
+    tracemalloc.start()
+    try:
+        tables = build_report(out)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert tables["a_pct_by_level"].rows
+    assert peak < 2 * 1024 * 1024, f"report peaked at {peak / 1024 / 1024:.1f} MB"
 
 
 def test_table_text_is_aligned(results_dir):

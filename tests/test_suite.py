@@ -8,6 +8,7 @@ import socketserver
 import threading
 import time
 import tracemalloc
+import urllib.request
 from importlib import resources
 from pathlib import Path
 
@@ -214,6 +215,21 @@ def test_full_suite_against_reference_server(conduit_collection):
     assert result.assertions_passed == 291
     assert result.assertions_total == 291
     assert result.requests_executed == 32
+
+
+def test_a_proxy_setting_never_diverts_the_harness(monkeypatch, conduit_collection):
+    dead_proxy = "http://127.0.0.1:9"
+    for name in ("http_proxy", "HTTP_PROXY"):
+        monkeypatch.setenv(name, dead_proxy)
+    for name in ("no_proxy", "NO_PROXY"):
+        monkeypatch.delenv(name, raising=False)
+    # urlopen builds its default opener, which reads the proxy variables, on first use
+    monkeypatch.setattr(urllib.request, "_opener", None)
+    with ServerHandle(port=0) as server:
+        result = run_suite(conduit_collection, server.base_url)
+        healthy = poll_health(server.base_url, timeout=2.0)
+    assert (result.assertions_passed, result.assertions_total) == (291, 291)
+    assert healthy is True
 
 
 def test_suite_deterministic_across_fresh_servers(conduit_collection):
