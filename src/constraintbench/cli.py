@@ -16,7 +16,6 @@ from .config import load_config
 from .diffs import parse_patch
 from .errors import ConstraintBenchError
 from .harness import HarnessConfig, PatchProvider, run_campaign
-from .refserver.server import feature_groups, serve
 from .suite import load_collection, run_suite
 from .taxonomy import aggregate_taxonomy, load_labels, validate_judge
 from .verifiers import LayerAliasMap, structural_compliance
@@ -124,7 +123,15 @@ def cmd_run_suite(args) -> int:
     return 0
 
 
+def _feature_groups(raw: str) -> list[str]:
+    from .refserver.server import feature_groups  # loads http.server, so only here
+
+    return feature_groups(raw)
+
+
 def cmd_reference_server(args) -> int:
+    from .refserver.server import serve
+
     serve(args.port, disabled=args.disable, reset_token=args.reset_token or None, host=args.host)
     return 0
 
@@ -227,7 +234,7 @@ def build_parser() -> _Parser:
     p = sub.add_parser("reference-server", help="run the in-memory reference server")
     p.add_argument("--port", type=int, default=8080)
     p.add_argument("--host", default="0.0.0.0")
-    p.add_argument("--disable", type=feature_groups, default="")
+    p.add_argument("--disable", type=_feature_groups, default="")
     p.add_argument("--reset-token", default=None)
     p.set_defaults(handler=cmd_reference_server)
 

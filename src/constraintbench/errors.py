@@ -37,3 +37,7 @@ class MetricError(ConstraintBenchError):
 
 class NotAFailureError(ConstraintBenchError):
     """Raised when failure-analysis helpers receive a passing run."""
+
+
+class URLSchemeError(ConstraintBenchError, ValueError):
+    """Raised for a server URL that is not http://, the one scheme the harness speaks."""

@@ -56,7 +56,8 @@ _RUN_SH = "#!/bin/sh\nexec python3 {entry}\n"
 
 
 def _module_source(name: str) -> str:
-    return resources.files("constraintbench.refserver").joinpath(name).read_text(encoding="utf-8")
+    # read as package data: importing the refserver package would load http.server
+    return (resources.files("constraintbench") / "refserver" / name).read_text(encoding="utf-8")
 
 
 def _rewrite_layered(source: str) -> str:

@@ -11,17 +11,18 @@ and the whole suite can be validated statically.
 from __future__ import annotations
 
 import csv
-import http.client
 import io
 import json
 import re
+import socket
+import string
+import sys
 import time
-import urllib.error
-import urllib.request
 from collections.abc import Callable
 from dataclasses import dataclass, field
+from urllib.parse import quote, urljoin, urlsplit
 
-from .errors import CollectionSchemaError
+from .errors import CollectionSchemaError, URLSchemeError
 
 _PLACEHOLDER_RE = re.compile(r"\{\{(\w+)\}\}")
 _MISSING = object()
@@ -405,23 +406,122 @@ def evaluate_assertion(assertion: Assertion, status: int, body, variables: dict)
     return False, f"{assertion.target} is {found!r}, expected {expected!r} (prior {prior!r})"
 
 
-# Every probe and suite request goes to the run's own server, never through a
-# proxy: urlopen's default opener would read http_proxy / HTTP_PROXY, and a
-# no_proxy of localhost does not cover 127.0.0.1.
-_OPENER = urllib.request.build_opener(urllib.request.ProxyHandler({}))
+# Every probe and suite request goes to the run's own server on a socket of
+# its own: no proxy, no TLS, and redirects only within the same origin.
+_REDIRECTS = (301, 302, 303, 307, 308)
+_MAX_REDIRECTS = 10
+_MAX_LINE = 65536  # http.client's limit
+_USER_AGENT = "Python-urllib/%d.%d" % sys.version_info[:2]
+
+
+class _MalformedResponse(Exception):
+    """A reply that is not HTTP or is cut off, named as http.client names it."""
+
+
+def _line(reader, what: str) -> bytes:
+    line = reader.readline(_MAX_LINE + 1)
+    if len(line) > _MAX_LINE:
+        raise _MalformedResponse(f"LineTooLong('got more than {_MAX_LINE} bytes when reading {what}')")
+    return line
+
+
+def _send_request(sock, method: str, target: str, host: str, headers: dict, body_bytes):
+    """Writes the request urllib would send, with ``Connection: close``."""
+    fields = {"Host": host, "User-Agent": _USER_AGENT, "Accept-Encoding": "identity"}
+    fields.update((name.title(), value) for name, value in headers.items())
+    if body_bytes is not None and "Content-Type" not in headers:
+        fields["Content-Type"] = "application/json"
+    if body_bytes is not None or method in ("POST", "PUT", "PATCH"):
+        fields.setdefault("Content-Length", str(len(body_bytes or b"")))
+    fields["Connection"] = "close"
+    head = "".join(f"{name}: {value}\r\n" for name, value in fields.items())
+    sock.sendall(f"{method} {target} HTTP/1.1\r\n{head}\r\n".encode("latin-1") + (body_bytes or b""))
+
+
+def _read_response(reader, method: str):
+    """(status, Location, body) of the reply, read as http.client reads it."""
+    status = 100
+    while status < 200:  # an interim 1xx reply is skipped
+        line = _line(reader, "status line").decode("iso-8859-1")
+        if not line:
+            raise ConnectionResetError("Remote end closed connection without response")
+        try:
+            version, status = line.split(None, 2)[:2]
+            status = int(status)
+        except ValueError:
+            version = ""
+        if not version.startswith("HTTP/") or not 100 <= status <= 999:
+            raise _MalformedResponse(f"BadStatusLine({line!r})")
+        fields = {}
+        while (field := _line(reader, "header line")) not in (b"\r\n", b"\n", b""):
+            name, _, value = field.decode("iso-8859-1").partition(":")
+            fields.setdefault(name.strip().lower(), value.strip())
+    if version not in ("HTTP/1.0", "HTTP/0.9") and not version.startswith("HTTP/1."):
+        raise _MalformedResponse(f"UnknownProtocol({version!r})")
+    chunked = fields.get("transfer-encoding", "").lower() == "chunked"
+    if method == "HEAD" or status in (204, 304) and not chunked:
+        return status, fields.get("location"), b""
+    if chunked:
+        return status, fields.get("location"), _read_chunked(reader)
+    try:
+        length = int(fields.get("content-length", ""))
+    except ValueError:
+        length = -1  # like any negative length: read to EOF
+    body = reader.read(length)
+    if len(body) < length:
+        raise _MalformedResponse(
+            f"IncompleteRead({len(body)} bytes read, {length - len(body)} more expected)")
+    return status, fields.get("location"), body
+
+
+def _read_chunked(reader) -> bytes:
+    chunks = []
+    while True:
+        try:
+            size = int(_line(reader, "chunk size").split(b";", 1)[0], 16)
+        except ValueError:
+            size = -1
+        if size == 0:
+            break
+        chunk = reader.read(max(size, 0))
+        if len(chunk) == size:
+            chunks.append(chunk)
+        if len(chunk) != size or len(reader.read(2)) < 2:
+            raise _MalformedResponse(f"IncompleteRead({sum(map(len, chunks))} bytes read)")
+    while _line(reader, "trailer line") not in (b"\r\n", b"\n", b""):
+        pass
+    return b"".join(chunks)
+
+
+def _split_url(url: str):
+    parts = urlsplit(url)
+    if parts.scheme != "http":
+        raise URLSchemeError(f"only http:// URLs can be requested, got {url!r}")
+    return parts
 
 
 def _http_request(url: str, method: str, headers: dict, body_bytes, timeout: float):
-    request = urllib.request.Request(url, data=body_bytes, method=method)
-    for key, value in headers.items():
-        request.add_header(key, value)
-    if body_bytes is not None and "Content-Type" not in headers:
-        request.add_header("Content-Type", "application/json")
-    try:
-        with _OPENER.open(request, timeout=timeout) as response:
-            return response.status, response.read()
-    except urllib.error.HTTPError as error:
-        return error.code, error.read()
+    """(status, body) of one request, which each hop writes only once its
+    own connection is open. Raises OSError when a connection fails and
+    _MalformedResponse on a reply that is not HTTP."""
+    parts = _split_url(url)
+    origin = (parts.hostname, parts.port or 80)
+    for hop in range(_MAX_REDIRECTS + 1):
+        target = (parts.path or "/") + (f"?{parts.query}" if parts.query else "")
+        with socket.create_connection(origin, timeout) as sock:
+            _send_request(sock, method, target, parts.netloc, headers, body_bytes)
+            with sock.makefile("rb") as reader:
+                status, location, body = _read_response(reader, method)
+        follow = method in ("GET", "HEAD") or (method == "POST" and status in (301, 302, 303))
+        if status not in _REDIRECTS or location is None or not follow or hop == _MAX_REDIRECTS:
+            return status, body
+        url = urljoin(url, quote(location, encoding="iso-8859-1", safe=string.punctuation))
+        parts = urlsplit(url)
+        if parts.scheme != "http" or (parts.hostname, parts.port or 80) != origin:
+            return status, body
+        method, body_bytes = ("HEAD" if method == "HEAD" else "GET"), None
+        headers = {name: value for name, value in headers.items()
+                   if name.lower() not in ("content-length", "content-type")}
 
 
 def run_suite(
@@ -435,6 +535,7 @@ def run_suite(
     assertions and execution moves on; a placeholder whose capture never
     happened goes out as literal text and fails its assertions the same way.
     """
+    _split_url(base_url)
     base = base_url.rstrip("/")
     variables = dict(collection.global_defaults)
     result = SuiteResult(name=collection.name)
@@ -456,11 +557,10 @@ def run_suite(
                     base + path, request.method, headers, body_bytes, request_timeout
                 )
             except OSError as exc:
-                reason = getattr(exc, "reason", exc)
-                record_all(False, f"connection failed: {reason}")
+                record_all(False, f"connection failed: {exc}")
                 continue
-            except http.client.HTTPException as exc:  # not an HTTP reply, or a cut-off one
-                record_all(False, f"malformed response: {exc!r}")
+            except _MalformedResponse as exc:
+                record_all(False, f"malformed response: {exc}")
                 continue
 
             result.requests_executed += 1
@@ -498,7 +598,8 @@ def poll_health(
     """True iff GET {base_url}/health-check answers 200 within ``timeout`` seconds.
 
     The wait gives up ``timeout`` seconds after it starts, even while a server
-    holds a probe unanswered. A probe is one GET. Between probes it sleeps by
+    holds a probe unanswered. A probe connects first, and sends its one GET
+    only on the connection it opened. Between probes it sleeps by
     one of two gap rules, each capped by the time left: while the port
     refuses the connection, a twentieth of the time waited; after any other
     failure, ``REPROBE_FIRST_S``, doubling up to ``REPROBE_CAP_S``.
@@ -508,6 +609,7 @@ def poll_health(
     """
     if not timeout > 0:
         raise ValueError("timeout must be positive")
+    _split_url(base_url)
     url = base_url.rstrip("/") + "/health-check"
     started = time.monotonic()
     deadline = started + timeout
@@ -519,8 +621,8 @@ def poll_health(
             status, _ = _http_request(url, "GET", {}, None, probe_timeout)
             if status == 200:
                 return True
-        except (OSError, http.client.HTTPException) as exc:
-            refused = isinstance(getattr(exc, "reason", exc), ConnectionRefusedError)
+        except (OSError, _MalformedResponse) as exc:
+            refused = isinstance(exc, ConnectionRefusedError)
         now = time.monotonic()
         if now >= deadline:
             return False

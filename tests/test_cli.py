@@ -239,3 +239,24 @@ def test_console_script_installed():
 def test_every_exported_name_resolves():
     missing = [name for name in constraintbench.__all__ if not hasattr(constraintbench, name)]
     assert missing == []
+
+
+def test_run_suite_rejects_a_url_that_is_not_http_exit_2(capsys):
+    assert main(["run-suite", "--base-url", "https://127.0.0.1:1/api"]) == 2
+    assert "'https://127.0.0.1:1/api'" in capsys.readouterr().err
+
+
+HTTP_AND_TLS_MODULES = {"ssl", "http.client", "http.server", "urllib.request", "email"}
+
+
+@pytest.mark.parametrize("statement", [
+    "import constraintbench.golden; constraintbench.golden.golden_patch('layered')",
+    "import constraintbench.cli",
+])
+def test_the_package_and_the_cli_load_no_http_or_tls_stack(statement):
+    # each in a fresh interpreter: this test process has loaded them all
+    check = f"import sys; print(sorted({sorted(HTTP_AND_TLS_MODULES)} & sys.modules.keys()))"
+    result = subprocess.run([sys.executable, "-c", f"{statement}\n{check}"],
+                            capture_output=True, text=True)
+    assert result.returncode == 0, result.stderr
+    assert result.stdout == "[]\n"

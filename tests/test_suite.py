@@ -703,3 +703,52 @@ def test_poll_health_sends_one_request_on_each_connection_it_opens(monkeypatch):
     assert server.per_connection == [1, 1, 1, 1]
     # a port that accepts but does not answer 200 keeps the HTTP schedule
     assert [slept for _, slept in clock.sleeps] == [0.01, 0.02, 0.04]
+
+
+def test_poll_health_writes_no_request_while_the_port_refuses(monkeypatch):
+    clock = FakeClock()
+    monkeypatch.setattr(suite, "time", clock)
+    written = []
+    monkeypatch.setattr(suite, "_send_request", lambda *args: written.append(args))
+    assert poll_health("http://127.0.0.1:1/api", timeout=0.8) is False
+    assert clock.now == pytest.approx(0.8)
+    assert len(clock.sleeps) > 20
+    assert written == []
+
+
+ONE_HEALTH_REQUEST = load_collection(json.dumps({"name": "one", "folders": [{
+    "name": "Health",
+    "requests": [{"name": "health", "method": "GET", "path": "/health-check",
+                  "assertions": [{"kind": "status_code", "expect": 200}]}],
+}]}))
+
+
+@contextlib.contextmanager
+def redirect_to_another_server():
+    """A base URL whose server answers every request with a 302 to the
+    health check of another, healthy server on another port."""
+    with ServerHandle(port=0) as other:
+        moved = (f"HTTP/1.1 302 Found\r\nLocation: {other.base_url}/health-check\r\n"
+                 "Content-Length: 5\r\n\r\nmoved").encode()
+        with malformed_server(moved) as base_url:
+            yield base_url
+
+
+def test_run_suite_never_follows_a_redirect_to_another_port():
+    with redirect_to_another_server() as base_url:
+        result = run_suite(ONE_HEALTH_REQUEST, base_url, request_timeout=2)
+    assert (result.requests_executed, result.assertions_passed) == (1, 0)
+    assert [o.detail for o in result.failures] == ["expected status 200, got 302"]
+
+
+def test_poll_health_never_follows_a_redirect_to_another_port():
+    with redirect_to_another_server() as base_url:
+        assert poll_health(base_url, timeout=0.3) is False
+
+
+@pytest.mark.parametrize("url", ["https://127.0.0.1:1/api", "ftp://127.0.0.1:1/api", "127.0.0.1:1"])
+def test_only_http_urls_are_requested(url):
+    with pytest.raises(ValueError, match="only http://"):
+        run_suite(ONE_HEALTH_REQUEST, url)
+    with pytest.raises(ValueError, match="only http://"):
+        poll_health(url, timeout=0.1, alive=lambda: False)
