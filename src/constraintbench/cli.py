@@ -16,6 +16,7 @@ from .config import load_config
 from .diffs import parse_patch
 from .errors import ConstraintBenchError
 from .harness import HarnessConfig, PatchProvider, run_campaign
+from .metrics import DEFAULT_CONFIG
 from .suite import load_collection, run_suite
 from .taxonomy import aggregate_taxonomy, load_labels, validate_judge
 from .verifiers import LayerAliasMap, structural_compliance
@@ -245,8 +246,8 @@ def build_parser() -> _Parser:
     p.add_argument("--collection", default=None)
     p.add_argument("--out", required=True)
     p.add_argument("--config", default=None)
-    p.add_argument("--agent-label", default="provider")
-    p.add_argument("--model-label", default="recorded")
+    p.add_argument("--agent-label", default=DEFAULT_CONFIG[0])
+    p.add_argument("--model-label", default=DEFAULT_CONFIG[1])
     p.set_defaults(handler=cmd_evaluate)
 
     p = sub.add_parser("metrics", help="compute metric tables from results")

@@ -14,6 +14,9 @@ from fractions import Fraction
 from .composer import TaskSpec
 from .errors import MetricError
 
+# the (agent, model) pair of a run whose labels name neither
+DEFAULT_CONFIG = ("provider", "recorded")
+
 
 @dataclass(frozen=True)
 class RunScore:
@@ -24,7 +27,7 @@ class RunScore:
     raw_fraction: float
     compliant: bool
     full_pass: bool
-    config: str = "default"  # agent/model grouping label
+    config: tuple[str, str] = DEFAULT_CONFIG  # (agent, model)
 
     @property
     def enforced_fraction(self) -> float:
@@ -104,7 +107,7 @@ def marginal_effect(
     pooling one delta per (config, pair) over all configurations.
     """
     pairs = matched_pairs(tasks, constraint)
-    by_key: dict[tuple[str, str], list[RunScore]] = {}
+    by_key: dict[tuple[tuple[str, str], str], list[RunScore]] = {}
     for score in scores:
         by_key.setdefault((score.config, score.task_id), []).append(score)
     deltas = []

@@ -16,7 +16,7 @@ from pathlib import Path
 from .composer import TaskSpec
 from .errors import MetricError
 from .harness import load_campaign
-from .metrics import RunScore, assert_pct, marginal_effect, pass_at_k
+from .metrics import DEFAULT_CONFIG, RunScore, assert_pct, marginal_effect, pass_at_k
 from .taxonomy import aggregate_taxonomy, load_labels
 
 LEVELS = ("L0", "L1", "L2", "L3")
@@ -69,14 +69,20 @@ def _fmt(value: float | None) -> str:
 class ScoredCampaign:
     scores: list[RunScore]
     tasks: dict[str, TaskSpec]  # task_id -> its task, in id order
-    configs: list[tuple[str, str]]  # (agent, model) in deterministic order
+    configs: list[tuple[str, str]]  # the scores' (agent, model) pairs, sorted
     skipped: int = 0
 
-    def by_level(self, level: str, config: str | None = None) -> list[RunScore]:
+    def runs(
+        self, config: tuple[str, str], level: int | None = None, framework: str | None = None
+    ) -> list[RunScore]:
+        """One config's scores, in stored order, on the tasks of ``level``
+        and of ``framework`` where those are given."""
         return [
             s
             for s in self.scores
-            if f"L{self.tasks[s.task_id].level}" == level and (config is None or s.config == config)
+            if s.config == config
+            and (level is None or self.tasks[s.task_id].level == level)
+            and (framework is None or self.tasks[s.task_id].framework.name == framework)
         ]
 
 
@@ -87,7 +93,6 @@ def score_campaign(records: Iterable[dict]) -> ScoredCampaign:
     be a lazy iterator such as ``load_campaign``'s."""
     scores = []
     tasks: dict[str, TaskSpec] = {}
-    configs = set()
     skipped = 0
     for record in records:
         # a record stored before ``outcome`` existed keeps the flag instead
@@ -101,8 +106,7 @@ def score_campaign(records: Iterable[dict]) -> ScoredCampaign:
         task = TaskSpec.from_summary(record["task"])
         tasks.setdefault(task.id, task)
         labels = record.get("labels", {})
-        config = f"{labels.get('agent', 'provider')}|{labels.get('model', 'recorded')}"
-        configs.add(config)
+        config = (labels.get("agent", DEFAULT_CONFIG[0]), labels.get("model", DEFAULT_CONFIG[1]))
         suite = record["suite"]
         total = suite["assertions_total"]
         scores.append(
@@ -118,74 +122,48 @@ def score_campaign(records: Iterable[dict]) -> ScoredCampaign:
     return ScoredCampaign(
         scores=scores,
         tasks=dict(sorted(tasks.items())),
-        configs=sorted(tuple(c.split("|", 1)) for c in configs),
+        configs=sorted({score.config for score in scores}),
         skipped=skipped,
     )
 
 
-def _config_key(agent: str, model: str) -> str:
-    return f"{agent}|{model}"
+def _a_pct(runs: list[RunScore]) -> float | None:
+    return assert_pct(runs) if runs else None
 
 
 def a_pct_by_level(campaign: ScoredCampaign) -> Table:
     table = Table("a_pct_by_level", ["agent", "model", *LEVELS])
-    for agent, model in campaign.configs:
-        row = [agent, model]
-        for level in LEVELS:
-            runs = campaign.by_level(level, _config_key(agent, model))
-            row.append(_fmt(assert_pct(runs) if runs else None))
-        table.rows.append(row)
+    for config in campaign.configs:
+        cells = [_a_pct(campaign.runs(config, level)) for level in range(len(LEVELS))]
+        table.rows.append([*config, *map(_fmt, cells)])
     return table
 
 
 def pass_at_1_by_level(campaign: ScoredCampaign) -> Table:
     table = Table("pass_at_1_by_level", ["agent", "model", *LEVELS])
-    for agent, model in campaign.configs:
-        row = [agent, model]
-        for level in LEVELS:
-            runs = campaign.by_level(level, _config_key(agent, model))
-            if not runs:
-                row.append("-")
-                continue
-            by_task: dict[str, list[RunScore]] = {}
-            for score in runs:
-                by_task.setdefault(score.task_id, []).append(score)
-            values = [
-                pass_at_k(len(scores), sum(s.full_pass for s in scores), 1)
-                for scores in by_task.values()
-            ]
-            row.append(_fmt(100.0 * sum(values) / len(values)))
+    for config in campaign.configs:
+        row = list(config)
+        for level in range(len(LEVELS)):
+            passes: dict[str, list[bool]] = {}  # task_id -> full_pass of each trial
+            for score in campaign.runs(config, level):
+                passes.setdefault(score.task_id, []).append(score.full_pass)
+            values = [pass_at_k(len(trials), sum(trials), 1) for trials in passes.values()]
+            row.append(_fmt(100.0 * sum(values) / len(values) if values else None))
         table.rows.append(row)
     return table
 
 
 def a_pct_by_framework(campaign: ScoredCampaign) -> Table:
-    config_keys = [_config_key(a, m) for a, m in campaign.configs]
-    headers = [f"{a}/{m}" for a, m in campaign.configs]
+    headers = [f"{agent}/{model}" for agent, model in campaign.configs]
     table = Table("a_pct_by_framework", ["framework", *headers, "avg"])
-    framework_of = {task.id: task.framework.name for task in campaign.tasks.values()}
-    frameworks = sorted({framework_of[s.task_id] for s in campaign.scores})
-    cells: dict[str, list[float | None]] = {}
-    for framework in frameworks:
-        row_values: list[float | None] = []
-        for key in config_keys:
-            runs = [
-                s
-                for s in campaign.scores
-                if framework_of[s.task_id] == framework and s.config == key
-            ]
-            row_values.append(assert_pct(runs) if runs else None)
-        cells[framework] = row_values
+    rows = []
+    for framework in {campaign.tasks[s.task_id].framework.name for s in campaign.scores}:
+        cells = [_a_pct(campaign.runs(config, framework=framework)) for config in campaign.configs]
+        present = [cell for cell in cells if cell is not None]  # never empty: a run has it
+        rows.append((sum(present) / len(present), framework, cells))
     # Sort rows by descending average, the leaderboard shape.
-    def avg(values):
-        present = [v for v in values if v is not None]
-        return sum(present) / len(present) if present else float("-inf")
-
-    for framework in sorted(frameworks, key=lambda f: (-avg(cells[f]), f)):
-        values = cells[framework]
-        table.rows.append(
-            [framework, *[_fmt(v) for v in values], _fmt(avg(values) if any(v is not None for v in values) else None)]
-        )
+    for avg, framework, cells in sorted(rows, key=lambda row: (-row[0], row[1])):
+        table.rows.append([framework, *map(_fmt, cells), _fmt(avg)])
     return table
 
 
@@ -208,15 +186,15 @@ def raw_vs_enforced(campaign: ScoredCampaign) -> Table:
         "raw_vs_enforced",
         ["agent", "model", "level", "enforced_a_pct", "raw_a_pct", "delta"],
     )
-    for agent, model in campaign.configs:
-        for level in LEVELS:
-            runs = campaign.by_level(level, _config_key(agent, model))
+    for config in campaign.configs:
+        for level, name in enumerate(LEVELS):
+            runs = campaign.runs(config, level)
             if not runs:
                 continue
             enforced = assert_pct(runs, enforced=True)
             raw = assert_pct(runs, enforced=False)
             table.rows.append(
-                [agent, model, level, _fmt(enforced), _fmt(raw), _fmt(raw - enforced)]
+                [*config, name, _fmt(enforced), _fmt(raw), _fmt(raw - enforced)]
             )
     return table
 
@@ -235,16 +213,16 @@ def taxonomy_table(labels_path) -> Table:
     return table
 
 
-# name -> builder; taxonomy's reads failure labels, the others a ScoredCampaign
+# name -> builder of a table from a ScoredCampaign
 TABLES = {
     "a_pct_by_level": a_pct_by_level,
     "pass_at_1_by_level": pass_at_1_by_level,
     "a_pct_by_framework": a_pct_by_framework,
     "marginal_effects": marginal_effects,
     "raw_vs_enforced": raw_vs_enforced,
-    "taxonomy": taxonomy_table,
 }
-TABLE_NAMES = tuple(TABLES)
+TAXONOMY = "taxonomy"  # the one table built from failure labels, not from runs
+TABLE_NAMES = (*TABLES, TAXONOMY)
 # what ``constraintbench metrics`` writes
 METRICS_TABLES = ("a_pct_by_level", "pass_at_1_by_level", "marginal_effects", "raw_vs_enforced")
 
@@ -254,19 +232,19 @@ def build_report(
     tables: list[str] | None = None,
     labels_path=None,
 ) -> dict[str, Table]:
-    """Assemble the selected tables (default: all but taxonomy) from a results directory."""
-    selected = list(tables) if tables else [t for t in TABLE_NAMES if t != "taxonomy"]
-    unknown = [t for t in selected if t not in TABLES]
+    """Assemble the selected tables (default: every one but taxonomy) from a
+    results directory; taxonomy is built from the labels at ``labels_path``."""
+    selected = list(tables) if tables else list(TABLES)
+    unknown = [t for t in selected if t not in TABLE_NAMES]
     if unknown:
         raise MetricError(f"unknown table(s): {', '.join(unknown)}")
+    if TAXONOMY in selected and labels_path is None:
+        raise MetricError(f"table {TAXONOMY} needs failure labels: pass --labels")
     campaign = score_campaign(load_campaign(results_dir))
-    built: dict[str, Table] = {}
-    for name in selected:
-        if name != "taxonomy":
-            built[name] = TABLES[name](campaign)
-        elif labels_path is not None:
-            built[name] = taxonomy_table(labels_path)
-    return built
+    return {
+        name: taxonomy_table(labels_path) if name == TAXONOMY else TABLES[name](campaign)
+        for name in selected
+    }
 
 
 def write_tables(tables: dict[str, Table], out_dir) -> list[Path]:

@@ -411,6 +411,7 @@ def evaluate_assertion(assertion: Assertion, status: int, body, variables: dict)
 _REDIRECTS = (301, 302, 303, 307, 308)
 _MAX_REDIRECTS = 10
 _MAX_LINE = 65536  # http.client's limit
+_MAX_PIECE = 1 << 20  # a body is read this much at most at a time
 _USER_AGENT = "Python-urllib/%d.%d" % sys.version_info[:2]
 
 
@@ -423,6 +424,20 @@ def _line(reader, what: str) -> bytes:
     if len(line) > _MAX_LINE:
         raise _MalformedResponse(f"LineTooLong('got more than {_MAX_LINE} bytes when reading {what}')")
     return line
+
+
+def _read_body(reader, length: int) -> bytes:
+    """Up to ``length`` bytes, or to EOF when ``length`` is negative, read in
+    bounded pieces: a reply costs the memory of what it sends, not of the
+    length it claims."""
+    pieces = []
+    while length:
+        piece = reader.read(_MAX_PIECE if length < 0 else min(length, _MAX_PIECE))
+        if not piece:
+            break
+        pieces.append(piece)
+        length -= len(piece)  # a negative length stays negative
+    return b"".join(pieces)
 
 
 def _send_request(sock, method: str, target: str, host: str, headers: dict, body_bytes):
@@ -467,7 +482,7 @@ def _read_response(reader, method: str):
         length = int(fields.get("content-length", ""))
     except ValueError:
         length = -1  # like any negative length: read to EOF
-    body = reader.read(length)
+    body = _read_body(reader, length)
     if len(body) < length:
         raise _MalformedResponse(
             f"IncompleteRead({len(body)} bytes read, {length - len(body)} more expected)")
@@ -483,7 +498,7 @@ def _read_chunked(reader) -> bytes:
             size = -1
         if size == 0:
             break
-        chunk = reader.read(max(size, 0))
+        chunk = _read_body(reader, max(size, 0))
         if len(chunk) == size:
             chunks.append(chunk)
         if len(chunk) != size or len(reader.read(2)) < 2:

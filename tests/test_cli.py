@@ -190,6 +190,14 @@ def test_report_missing_results_exit_2(tmp_path, capsys):
                  "--out", str(tmp_path / "t")]) == 2
 
 
+def test_report_taxonomy_without_labels_exit_2(tmp_path, capsys):
+    out = tmp_path / "t"
+    assert main(["report", "--results", str(tmp_path / "void"), "--out", str(out),
+                 "--tables", "taxonomy"]) == 2
+    assert "--labels" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_taxonomy_cli(tmp_path, capsys):
     labels = tmp_path / "labels.jsonl"
     lines = [

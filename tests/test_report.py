@@ -8,7 +8,8 @@ from constraintbench.composer import FRAMEWORKS, enumerate_variants
 from constraintbench.errors import MetricError, TaskSetupError
 from constraintbench.harness import OUTCOMES, RunRecord, load_campaign, write_campaign
 from constraintbench.report import (
-    METRICS_TABLES, TABLE_NAMES, build_report, score_campaign, write_tables,
+    METRICS_TABLES, TABLE_NAMES, a_pct_by_framework, a_pct_by_level, build_report,
+    pass_at_1_by_level, raw_vs_enforced, score_campaign, write_tables,
 )
 from constraintbench.suite import AssertionOutcome, SuiteResult
 from constraintbench.taxonomy import FailureLabel, save_labels
@@ -142,6 +143,11 @@ def test_unknown_table_rejected(results_dir):
         build_report(results_dir, tables=["nope"])
 
 
+def test_taxonomy_without_labels_is_refused_before_the_results_are_read(tmp_path):
+    with pytest.raises(MetricError, match="--labels"):
+        build_report(tmp_path / "void", tables=["taxonomy"])
+
+
 def test_missing_results_dir_is_error(tmp_path):
     with pytest.raises(TaskSetupError):
         build_report(tmp_path / "void")
@@ -223,3 +229,57 @@ def test_default_report_is_every_table_but_taxonomy(results_dir, tmp_path):
         n for n in TABLE_NAMES if n != "taxonomy"
     ]
     assert set(METRICS_TABLES) < set(TABLE_NAMES)
+
+
+def scored(*groups):
+    """score_campaign over the stored form of each (records, agent, model)
+    group's records, labelled with that agent and model, in group order."""
+    return score_campaign(
+        json.loads(dataclasses.replace(record, labels={"agent": agent, "model": model}).to_json())
+        for records, agent, model in groups
+        for record in records
+    )
+
+
+def two_configs():
+    """The synthetic campaign as replay/golden, then its express tasks again
+    as alpha/beta with every assertion passed; alpha/beta ran no flask task."""
+    records = synthetic_records()
+    express = [dataclasses.replace(record, suite=_suite(1.0))
+               for record in records if record.task_id.startswith("express")]
+    return scored((records, "replay", "golden"), (express, "alpha", "beta"))
+
+
+def test_level_tables_give_one_row_per_config_in_sorted_order():
+    campaign = two_configs()
+    assert campaign.configs == [("alpha", "beta"), ("replay", "golden")]
+    assert a_pct_by_level(campaign).rows == [
+        ["alpha", "beta", "100.0", "100.0", "100.0", "-"],
+        ["replay", "golden", "95.0", "63.3", "30.0", "-"],
+    ]
+    assert pass_at_1_by_level(campaign).rows == [
+        ["alpha", "beta", "100.0", "100.0", "100.0", "-"],
+        ["replay", "golden", "66.7", "0.0", "0.0", "-"],
+    ]
+    assert [row[:3] for row in raw_vs_enforced(campaign).rows] == [
+        [*config, level] for config in campaign.configs for level in ("L0", "L1", "L2")
+    ]
+
+
+def test_framework_table_averages_only_the_cells_a_config_ran():
+    table = a_pct_by_framework(two_configs())
+    assert table.columns == ["framework", "alpha/beta", "replay/golden", "avg"]
+    # flask under replay/golden: (0.9 + 1.6/3 + 0.6 + 0.4)/4 = 60.8
+    assert table.rows == [
+        ["express", "100.0", "65.0", "82.5"],
+        ["flask", "-", "60.8", "60.8"],
+    ]
+
+
+def test_labels_holding_a_bar_stay_two_configs():
+    records = synthetic_records()
+    campaign = scored((records, "a|b", "c"), (records, "a", "b|c"))
+    assert a_pct_by_level(campaign).rows == [
+        ["a", "b|c", "95.0", "63.3", "30.0", "-"],
+        ["a|b", "c", "95.0", "63.3", "30.0", "-"],
+    ]

@@ -530,15 +530,19 @@ def malformed_server(reply: bytes):
         thread.join()
 
 
-@pytest.mark.parametrize("error", sorted(MALFORMED_REPLIES))
-def test_run_suite_fails_the_requests_a_malformed_reply_answers(error):
+def health_only():
+    """A collection of one request, GET /health-check, expecting 200."""
     request = {"name": "health", "method": "GET", "path": "/health-check",
                "assertions": [{"kind": "status_code", "expect": 200}]}
-    collection = load_collection(
+    return load_collection(
         json.dumps({"name": "one", "folders": [{"name": "Health", "requests": [request]}]})
     )
+
+
+@pytest.mark.parametrize("error", sorted(MALFORMED_REPLIES))
+def test_run_suite_fails_the_requests_a_malformed_reply_answers(error):
     with malformed_server(MALFORMED_REPLIES[error]) as base_url:
-        result = run_suite(collection, base_url, request_timeout=2)
+        result = run_suite(health_only(), base_url, request_timeout=2)
     assert (result.assertions_passed, result.assertions_total) == (0, 1)
     assert result.not_run.startswith(f"malformed response: {error}(")
 
@@ -546,6 +550,33 @@ def test_run_suite_fails_the_requests_a_malformed_reply_answers(error):
 @pytest.mark.parametrize("error", sorted(MALFORMED_REPLIES))
 def test_poll_health_treats_a_malformed_reply_as_not_healthy(error):
     with malformed_server(MALFORMED_REPLIES[error]) as base_url:
+        start = time.monotonic()
+        ok = poll_health(base_url, timeout=0.2)
+        elapsed = time.monotonic() - start
+    assert ok is False
+    assert elapsed < 1.0
+
+
+# replies that claim a body of 10^12 bytes, by length or by chunk size, and send five
+HUGE_CLAIMS = {
+    "length": (b"HTTP/1.1 200 OK\r\nContent-Length: 1000000000000\r\n\r\nshort",
+               "IncompleteRead(5 bytes read, 999999999995 more expected)"),
+    "chunked": (b"HTTP/1.1 200 OK\r\nTransfer-Encoding: chunked\r\n\r\nE8D4A51000\r\nshort",
+                "IncompleteRead(0 bytes read)"),
+}
+
+
+@pytest.mark.parametrize("claim", sorted(HUGE_CLAIMS))
+def test_run_suite_fails_a_request_whose_reply_claims_a_huge_body(claim):
+    reply, error = HUGE_CLAIMS[claim]
+    with malformed_server(reply) as base_url:
+        result = run_suite(health_only(), base_url, request_timeout=2)
+    assert result.not_run == f"malformed response: {error}"
+
+
+@pytest.mark.parametrize("claim", sorted(HUGE_CLAIMS))
+def test_poll_health_treats_a_huge_body_claim_as_not_healthy(claim):
+    with malformed_server(HUGE_CLAIMS[claim][0]) as base_url:
         start = time.monotonic()
         ok = poll_health(base_url, timeout=0.2)
         elapsed = time.monotonic() - start
