@@ -13,11 +13,11 @@ from pathlib import Path
 
 from . import composer, golden, report
 from .config import load_config
-from .diffs import parse_patch
+from .diffs import parse_patch, read_patch
 from .errors import ConstraintBenchError
 from .harness import HarnessConfig, PatchProvider, run_campaign
 from .metrics import DEFAULT_CONFIG
-from .suite import load_collection, run_suite
+from .suite import REQUEST_TIMEOUT_S, load_collection, run_suite
 from .taxonomy import aggregate_taxonomy, load_labels, validate_judge
 from .verifiers import LayerAliasMap, structural_compliance
 
@@ -85,14 +85,14 @@ def cmd_compose(args) -> int:
 
 
 def cmd_diff_inspect(args) -> int:
-    patch = parse_patch(Path(args.patch).read_text(encoding="utf-8"))
+    patch = parse_patch(read_patch(Path(args.patch)))
     print(patch.to_json())
     return 0
 
 
 def cmd_verify(args) -> int:
     task = composer.load_task(Path(args.task).read_text(encoding="utf-8"))
-    patch = parse_patch(Path(args.patch).read_text(encoding="utf-8"))
+    patch = parse_patch(read_patch(Path(args.patch)))
     aliases = LayerAliasMap.from_file(args.aliases) if args.aliases else None
     overall, reports = structural_compliance(task, patch, aliases)
     for rep in reports:
@@ -229,7 +229,7 @@ def build_parser() -> _Parser:
     p.add_argument("--collection", default=None, help="defaults to the shipped collection")
     p.add_argument("--base-url", required=True)
     p.add_argument("--out", default=None)
-    p.add_argument("--request-timeout", type=float, default=10.0)
+    p.add_argument("--request-timeout", type=float, default=REQUEST_TIMEOUT_S)
     p.set_defaults(handler=cmd_run_suite)
 
     p = sub.add_parser("reference-server", help="run the in-memory reference server")

@@ -10,6 +10,7 @@ from __future__ import annotations
 import json
 import re
 from dataclasses import dataclass, field
+from pathlib import Path
 
 from .errors import PatchParseError
 
@@ -115,6 +116,12 @@ def _unquote(path: str) -> str:
 
     raw = _C_ESCAPE_RE.sub(decode, path[1:-1].encode("utf-8", "surrogateescape"))
     return raw.decode("utf-8", "surrogateescape")
+
+
+def read_patch(path: Path) -> str:
+    """A patch file's text. Bytes that are not UTF-8 (a patched file's) stay
+    as surrogates, as ``_unquote`` keeps them, so they write back unchanged."""
+    return path.read_text(encoding="utf-8", errors="surrogateescape")
 
 
 def parse_patch(diff_text: str) -> PatchDocument:

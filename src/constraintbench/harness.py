@@ -18,6 +18,7 @@ import logging
 import math
 import os
 import queue
+import re
 import shutil
 import signal
 import socket
@@ -31,9 +32,11 @@ from dataclasses import dataclass, field
 from pathlib import Path
 
 from .composer import TaskSpec
-from .diffs import PatchDocument, filter_excluded_sections, parse_patch
+from .diffs import PatchDocument, filter_excluded_sections, parse_patch, read_patch
 from .errors import PatchParseError, TaskSetupError
-from .suite import SuiteResult, TestCollection, poll_health, run_suite, unreachable_result
+from .suite import (
+    REQUEST_TIMEOUT_S, SuiteResult, TestCollection, poll_health, run_suite, unreachable_result,
+)
 from .verifiers import LayerAliasMap, structural_compliance
 
 logger = logging.getLogger(__name__)
@@ -41,13 +44,14 @@ logger = logging.getLogger(__name__)
 GROUP_EXIT_POLL_S = 0.005  # teardown's check for killed group members to be gone
 PORT_PROBE_TIMEOUT_S = 0.5  # the pre-launch check that a leased port is free
 LEASABLE_PORTS = range(1, 65536)  # the ports a port_pool may hold
+LOG_TAIL_BYTES = 20000  # the most of one command's output a record keeps
 
 
 @dataclass
 class HarnessConfig:
     port_pool: list[int] = field(default_factory=lambda: list(range(8080, 8100)))
     workers: int = 1
-    request_timeout: float = 10.0
+    request_timeout: float = REQUEST_TIMEOUT_S
     health_timeout: float = 9.5
     setup_timeout: float = 180.0
     provider_timeout: float = 600.0
@@ -112,10 +116,6 @@ class Workspace:
     root: Path
     meta: Path
     port: int
-
-    @property
-    def server_log(self) -> Path:
-        return self.meta / "server.log"
 
     def destroy(self):
         shutil.rmtree(self.root.parent, ignore_errors=True)
@@ -233,12 +233,14 @@ class RunRecord:
 
 
 def _start_git(args: list[str], cwd: Path) -> subprocess.Popen:
-    """Start ``git args`` in ``cwd`` with its output piped as text."""
+    """Start ``git args`` in ``cwd`` with its output piped as text, where bytes
+    that are not UTF-8 (a patched file's) stay as surrogates, to write back."""
     # The ceiling keeps git from finding a repository above the run's
     # directory: inside one, ``git apply`` skips every path outside the
     # subdirectory it runs in and still exits 0.
     return subprocess.Popen(
-        ["git", *args], cwd=cwd, stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True,
+        ["git", *args], cwd=cwd, stdout=subprocess.PIPE, stderr=subprocess.PIPE,
+        encoding="utf-8", errors="surrogateescape",
         env={
             **os.environ,
             "GIT_TERMINAL_PROMPT": "0",
@@ -340,11 +342,7 @@ def build_phase(
         token_usage = None
         if tokens_path.exists():
             token_usage = json.loads(tokens_path.read_text())
-        return BuildResult(
-            diff_text=diff_path.read_text(encoding="utf-8"),
-            logs="",
-            token_usage=token_usage,
-        )
+        return BuildResult(diff_text=read_patch(diff_path), logs="", token_usage=token_usage)
 
     workspace = _make_workspace(task, port=port or config.port_pool[0], config=config)
     try:
@@ -355,13 +353,10 @@ def build_phase(
         env["TASK_ID"] = task.id
         env["TASK_FILE"] = str(workspace.meta / "task.json")
         env["TASK_PROMPT_FILE"] = str(workspace.meta / "prompt.txt")
-        completed = _run_command(
-            provider.location, workspace.root, env, config.provider_timeout, config.shutdown_grace
-        )
-        logs = (
-            f"provider exit={completed.returncode}\n"
-            f"--- stdout ---\n{completed.stdout}\n--- stderr ---\n{completed.stderr}"
-        )
+        log = workspace.meta / "provider.log"
+        ended = _run_command(provider.location, workspace.root, env, log,
+                             config.provider_timeout, config.shutdown_grace)
+        logs = f"provider {ended}\n{_tail(log)}"
         return BuildResult(diff_text=_extract_diff(workspace, baseline), logs=logs)
     finally:
         workspace.destroy()
@@ -434,19 +429,38 @@ def _terminate(process: subprocess.Popen, grace: float):
             time.sleep(GROUP_EXIT_POLL_S)
 
 
-def _run_command(command: str, cwd: Path, env: dict, timeout: float, grace: float):
-    """``subprocess.run(command, shell=True)`` in a session of its own, so
-    that a timeout stops the command's whole process group, not just the shell."""
-    with subprocess.Popen(
-        command, shell=True, cwd=cwd, env=env, text=True,
-        stdout=subprocess.PIPE, stderr=subprocess.PIPE, start_new_session=True,
-    ) as process:
+def _launch(argv: list[str], cwd: Path, env: dict, log: Path) -> subprocess.Popen:
+    """Start ``argv`` in a process group of its own, for ``_terminate`` to stop,
+    with its stdout and stderr written together, in order, to the file ``log``."""
+    with open(log, "wb") as handle:
+        return subprocess.Popen(argv, cwd=cwd, env=env, stdout=handle, stderr=subprocess.STDOUT,
+                                start_new_session=True)
+
+
+def _tail(log: Path) -> str:
+    """At most the last ``LOG_TAIL_BYTES`` bytes of ``log``, from a whole character on, as
+    text with ``\\r\\n`` and ``\\r`` read as ``\\n``, after a line counting the bytes left out."""
+    with open(log, "rb") as handle:
+        dropped = max(handle.seek(0, os.SEEK_END) - LOG_TAIL_BYTES, 0)
+        handle.seek(max(dropped - 1, 0))  # with the byte before the cut, if any
+        data = handle.read()
+    if dropped:
+        skip = re.match(rb"(?:\r\n|.)[\x80-\xbf]{0,3}", data, re.DOTALL).end()
+        data, dropped = data[skip:], dropped + skip - 1
+    text = data.decode("utf-8", errors="replace").replace("\r\n", "\n").replace("\r", "\n")
+    return f"[{dropped} earlier bytes dropped]\n{text}" if dropped else text
+
+
+def _run_command(command: str, cwd: Path, env: dict, log: Path, timeout: float, grace: float):
+    """Run ``command`` through ``/bin/sh -c``, as ``_launch`` starts it, stop
+    its group when it ends, and say how it ended: ``exit=N`` or ``timed out``."""
+    with _launch(["/bin/sh", "-c", command], cwd, env, log) as process:
         try:
-            stdout, stderr = process.communicate(timeout=timeout)
+            return f"exit={process.wait(timeout)}"
         except subprocess.TimeoutExpired:
+            return "timed out"
+        finally:  # what it left in the background goes too
             _terminate(process, grace)
-            raise
-    return subprocess.CompletedProcess(command, process.returncode, stdout, stderr)
 
 
 def evaluate_phase(
@@ -506,11 +520,11 @@ def _run_stages(
         log_parts.append(f"task setup error: {exc}")
         return "setup_error", None
 
-    process = None
+    process, server_log = None, workspace.meta / "server.log"
     try:
         if diff.strip():
             patch_file = workspace.meta / "changes.diff"
-            patch_file.write_text(diff, encoding="utf-8")
+            patch_file.write_text(diff, encoding="utf-8", errors="surrogateescape")
             with _start_git(
                 ["apply", "--whitespace=nowarn", str(patch_file)], workspace.root
             ) as applying:
@@ -525,17 +539,11 @@ def _run_stages(
             log_parts.append("empty diff: nothing to apply")
 
         env = _run_env(workspace, config)
-        for command in task.setup_commands:
-            try:
-                completed = _run_command(
-                    command, workspace.root, env, config.setup_timeout, config.shutdown_grace
-                )
-                log_parts.append(
-                    f"setup `{command}` exit={completed.returncode}\n"
-                    f"{completed.stdout}{completed.stderr}"
-                )
-            except subprocess.TimeoutExpired:
-                log_parts.append(f"setup `{command}` timed out")
+        for index, command in enumerate(task.setup_commands):
+            log = workspace.meta / f"setup-{index}.log"
+            ended = _run_command(command, workspace.root, env, log,
+                                 config.setup_timeout, config.shutdown_grace)
+            log_parts.append(f"setup `{command}` {ended}\n{_tail(log)}")
 
         if not (workspace.root / "run.sh").exists():
             log_parts.append("no run.sh in patched tree; server not started")
@@ -545,12 +553,7 @@ def _run_stages(
             log_parts.append(f"task setup error: port {workspace.port} already in use")
             return "port_in_use", None
 
-        with open(workspace.server_log, "wb") as log_handle:
-            process = subprocess.Popen(
-                ["bash", "run.sh"], cwd=workspace.root, env=env,
-                stdout=log_handle, stderr=subprocess.STDOUT,
-                start_new_session=True,
-            )
+        process = _launch(["bash", "run.sh"], workspace.root, env, server_log)
 
         base_url = f"http://127.0.0.1:{workspace.port}/api"
         if not poll_health(base_url, config.health_timeout, alive=lambda: _group_alive(process)):
@@ -565,11 +568,8 @@ def _run_stages(
     finally:
         if process is not None:
             _terminate(process, config.shutdown_grace)
-        if workspace.server_log.exists():
             log_parts.append("--- server log ---")
-            log_parts.append(
-                workspace.server_log.read_text(encoding="utf-8", errors="replace")[-20000:]
-            )
+            log_parts.append(_tail(server_log))
         workspace.destroy()
 
 

@@ -41,6 +41,7 @@ REPROBE_FIRST_S = 0.01
 REPROBE_CAP_S = 0.05
 PROBE_TIMEOUT_S = 5.0
 PROBE_FLOOR_S = 0.01
+REQUEST_TIMEOUT_S = 10.0  # a suite request's timeout, unless a config or option sets another
 
 _TYPE_CHECKS = {
     "string": lambda v: isinstance(v, str),
@@ -412,6 +413,8 @@ _REDIRECTS = (301, 302, 303, 307, 308)
 _MAX_REDIRECTS = 10
 _MAX_LINE = 65536  # http.client's limit
 _MAX_PIECE = 1 << 20  # a body is read this much at most at a time
+_MAX_BODY = 4 << 20  # the longest body a reply may send; no golden reply reaches 1 KiB
+_MAX_HEADERS = 100  # http.client's limit
 _USER_AGENT = "Python-urllib/%d.%d" % sys.version_info[:2]
 
 
@@ -426,15 +429,18 @@ def _line(reader, what: str) -> bytes:
     return line
 
 
-def _read_body(reader, length: int) -> bytes:
+def _read_body(reader, length: int, room: int = _MAX_BODY) -> bytes:
     """Up to ``length`` bytes, or to EOF when ``length`` is negative, read in
     bounded pieces: a reply costs the memory of what it sends, not of the
-    length it claims."""
+    length it claims. Sending more than ``room`` bytes makes it malformed."""
     pieces = []
     while length:
         piece = reader.read(_MAX_PIECE if length < 0 else min(length, _MAX_PIECE))
         if not piece:
             break
+        room -= len(piece)
+        if room < 0:
+            raise _MalformedResponse(f"got more than {_MAX_BODY} bytes of body")
         pieces.append(piece)
         length -= len(piece)  # a negative length stays negative
     return b"".join(pieces)
@@ -467,8 +473,11 @@ def _read_response(reader, method: str):
             version = ""
         if not version.startswith("HTTP/") or not 100 <= status <= 999:
             raise _MalformedResponse(f"BadStatusLine({line!r})")
-        fields = {}
+        fields, count = {}, 0
         while (field := _line(reader, "header line")) not in (b"\r\n", b"\n", b""):
+            count += 1
+            if count > _MAX_HEADERS:
+                raise _MalformedResponse(f"HTTPException('got more than {_MAX_HEADERS} headers')")
             name, _, value = field.decode("iso-8859-1").partition(":")
             fields.setdefault(name.strip().lower(), value.strip())
     if version not in ("HTTP/1.0", "HTTP/0.9") and not version.startswith("HTTP/1."):
@@ -490,7 +499,7 @@ def _read_response(reader, method: str):
 
 
 def _read_chunked(reader) -> bytes:
-    chunks = []
+    chunks, room = [], _MAX_BODY
     while True:
         try:
             size = int(_line(reader, "chunk size").split(b";", 1)[0], 16)
@@ -498,7 +507,8 @@ def _read_chunked(reader) -> bytes:
             size = -1
         if size == 0:
             break
-        chunk = _read_body(reader, max(size, 0))
+        chunk = _read_body(reader, max(size, 0), room)
+        room -= len(chunk)
         if len(chunk) == size:
             chunks.append(chunk)
         if len(chunk) != size or len(reader.read(2)) < 2:
@@ -542,7 +552,7 @@ def _http_request(url: str, method: str, headers: dict, body_bytes, timeout: flo
 def run_suite(
     collection: TestCollection,
     base_url: str,
-    request_timeout: float = 10.0,
+    request_timeout: float = REQUEST_TIMEOUT_S,
 ) -> SuiteResult:
     """Execute the collection strictly in order against a server.
 

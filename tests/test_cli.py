@@ -108,6 +108,22 @@ def test_artifact_sections_are_excluded_by_path(tmp_path, capsys):
     assert "overall: compliant" in capsys.readouterr().out
 
 
+def test_diff_inspect_and_verify_read_a_patch_that_is_not_utf8(tmp_path, capsys):
+    tasks = tmp_path / "tasks"
+    main(["compose", "--frameworks", "flask", "--levels", "L3", "--out", str(tasks)])
+    task_file = tasks / "flask-openapi-clean_architecture-sqlite-sqlalchemy.json"
+    patch = tmp_path / "latin1.diff"
+    patch.write_bytes(files_to_diff({"a.py": ('NAME = "caf\udce9"\n', False)})
+                      .encode("utf-8", "surrogateescape"))
+    assert b'+NAME = "caf\xe9"' in patch.read_bytes()
+    capsys.readouterr()
+    assert main(["diff", "inspect", str(patch)]) == 0
+    [changed] = json.loads(capsys.readouterr().out)["files"]
+    assert changed["added_lines"] == [[1, 'NAME = "caf\udce9"']]
+    assert main(["verify", "--task", str(task_file), "--patch", str(patch)]) == 0
+    assert "overall: NON-COMPLIANT" in capsys.readouterr().out
+
+
 def test_verify_monolithic_flags_architecture(tmp_path, capsys):
     tasks = tmp_path / "tasks"
     main(["compose", "--frameworks", "flask", "--levels", "L3", "--out", str(tasks)])

@@ -157,14 +157,15 @@ def test_command_provider_node_modules_only_yields_empty_diff(flask_l0, config):
 
 
 def test_campaign_records_keep_the_provider_output(tmp_path, mini_collection, config, flask_l0):
-    command = PatchProvider.parse("command:echo provider-said-hello; echo x > a.txt; exit 3")
+    command = PatchProvider.parse(
+        "command:echo provider-said-hello; echo then-complained >&2; echo x > a.txt; exit 3"
+    )
     [record] = run_campaign([flask_l0], command, 1, mini_collection, config=config)
     assert record.outcome == "no_run_sh"
     evaluation, provider_log = record.logs.split("\n--- provider ---\n")
     assert "run.sh" in evaluation
-    assert provider_log == (
-        "provider exit=3\n--- stdout ---\nprovider-said-hello\n\n--- stderr ---\n"
-    )
+    # stdout and stderr are one stream, in the order the command wrote them
+    assert provider_log == "provider exit=3\nprovider-said-hello\nthen-complained\n"
 
     # a recorded diff has no provider output, so nothing is added
     (tmp_path / f"{flask_l0.id}.diff").write_text(files_to_diff({"a.txt": ("x\n", False)}))
@@ -245,13 +246,136 @@ def test_provider_timeout_stops_the_command_group(config, tmp_path, flask_l0):
     pid_file = tmp_path / "child.pid"
     config.provider_timeout = 0.5
     provider = PatchProvider("external_command", f"sleep 37 & echo $! > {pid_file}; wait")
-    with pytest.raises(subprocess.TimeoutExpired):
-        build_phase(flask_l0, provider, trial=0, config=config)
+    result = build_phase(flask_l0, provider, trial=0, config=config)
     child = int(pid_file.read_text())
     try:
+        assert result.logs == "provider timed out\n"
         assert _gone_or_zombie(child, within=1.0)
     finally:
         _stop(child)
+
+
+def test_a_timed_out_provider_is_evaluated_on_what_it_wrote(
+    mini_collection, config, tmp_path, flask_l0
+):
+    pid_file = tmp_path / "child.pid"
+    config.provider_timeout = 0.5
+    provider = PatchProvider(
+        "external_command", f"echo 'x = 1' > half_done.py; sleep 37 & echo $! > {pid_file}; wait"
+    )
+    [record] = run_campaign([flask_l0], provider, 1, mini_collection, config=config)
+    child = int(pid_file.read_text())
+    try:
+        assert record.outcome == "no_run_sh"
+        assert "\n--- provider ---\nprovider timed out\n" in record.logs
+        assert "+x = 1" in record.diff
+        assert _gone_or_zombie(child, within=1.0)
+    finally:
+        _stop(child)
+
+
+def test_a_setup_command_leaves_nothing_in_the_background(
+    mini_collection, config, tmp_path, flask_l0
+):
+    pid_file = tmp_path / "child.pid"
+    setup = f"sleep 37 & echo $! > {pid_file}"
+    task = dataclasses.replace(flask_l0, setup_commands=[setup])
+    config.setup_timeout = 5.0  # bounds the test should the shell's exit not end the wait
+    record = evaluate_phase(task, "", mini_collection, config=config)
+    child = int(pid_file.read_text())
+    try:
+        assert record.outcome == "no_run_sh"
+        assert f"setup `{setup}` exit=0\n" in record.logs
+        assert _gone_or_zombie(child, within=1.0)
+    finally:
+        _stop(child)
+
+
+def test_a_provider_leaves_nothing_in_the_background(config, tmp_path, flask_l0):
+    pid_file = tmp_path / "child.pid"
+    config.provider_timeout = 5.0
+    provider = PatchProvider("external_command", f"sleep 37 & echo $! > {pid_file}")
+    result = build_phase(flask_l0, provider, trial=0, config=config)
+    child = int(pid_file.read_text())
+    try:
+        assert result.logs == "provider exit=0\n"
+        assert _gone_or_zombie(child, within=1.0)
+    finally:
+        _stop(child)
+
+
+@pytest.mark.parametrize("head", [b"ab", b"a\xc3\xa9", b"a\xe2\x82\xac", b"a\r\n"])
+def test_a_cut_tail_starts_after_the_character_the_cut_splits(tmp_path, head):
+    # the cut falls after head's second byte: the rest of a character or
+    # of a "\r\n" it splits is dropped too, and counted
+    body = b"z" * (harness.LOG_TAIL_BYTES + 2 - len(head))
+    log = tmp_path / "out.log"
+    log.write_bytes(head + body)
+    assert harness._tail(log) == f"[{len(head)} earlier bytes dropped]\n" + body.decode()
+
+
+def test_a_record_keeps_the_tail_of_each_command_output(mini_collection, config, flask_l0):
+    # each child prints 5 MB; the record keeps the last LOG_TAIL_BYTES of each
+    setup = "head -c 5000000 /dev/zero | tr '\\0' s"
+    task = dataclasses.replace(flask_l0, setup_commands=[setup])
+    run_sh = "#!/bin/sh\nhead -c 5000000 /dev/zero | tr '\\0' r\nexit 7\n"
+    record = evaluate_phase(task, files_to_diff({"run.sh": (run_sh, True)}), mini_collection,
+                            config=config)
+    assert record.outcome == "server_exited"
+    dropped = f"[{5_000_000 - harness.LOG_TAIL_BYTES} earlier bytes dropped]"
+    setup_part, server_part = record.logs.split("\nserver exited with code 7"
+                                                " before answering health-check\n")
+    assert setup_part.endswith(f"setup `{setup}` exit=0\n{dropped}\n" + "s" * harness.LOG_TAIL_BYTES)
+    assert server_part == f"--- server log ---\n{dropped}\n" + "r" * harness.LOG_TAIL_BYTES
+    assert len(record.logs) < 2 * harness.LOG_TAIL_BYTES + 500
+
+
+def test_output_that_is_not_utf8_is_kept_as_replacement_characters(
+    mini_collection, config, flask_l0
+):
+    task = dataclasses.replace(flask_l0, setup_commands=["printf 'setup caf\\351\\n'"])
+    record = evaluate_phase(task, "", mini_collection, config=config)
+    assert record.outcome == "no_run_sh"
+    assert "setup `printf 'setup caf\\351\\n'` exit=0\nsetup caf\ufffd\n" in record.logs
+
+    provider = PatchProvider.parse("command:printf 'provider caf\\351\\n'; echo x > a.txt")
+    [record] = run_campaign([flask_l0], provider, 1, mini_collection, config=config)
+    assert record.outcome == "no_run_sh"
+    assert record.logs.endswith("\n--- provider ---\nprovider exit=0\nprovider caf\ufffd\n")
+
+
+def test_carriage_returns_in_command_output_read_as_newlines(mini_collection, config, flask_l0):
+    setup = r"printf 'one\r\ntwo\rthree\n'"
+    task = dataclasses.replace(flask_l0, setup_commands=[setup])
+    run_sh = f"#!/bin/sh\n{setup}\nexit 7\n"
+    record = evaluate_phase(task, files_to_diff({"run.sh": (run_sh, True)}), mini_collection,
+                            config=config)
+    assert record.logs == (
+        f"setup `{setup}` exit=0\none\ntwo\nthree\n\n"
+        "server exited with code 7 before answering health-check\n"
+        "--- server log ---\none\ntwo\nthree\n"
+    )
+
+
+def test_a_patch_that_is_not_utf8_reaches_git_apply_byte_for_byte(
+    tmp_path, mini_collection, config, flask_l0
+):
+    command = PatchProvider.parse("command:printf 'NAME = \"caf\\351\"\\n' > a.py")
+    [made] = run_campaign([flask_l0], command, 1, mini_collection, config=config)
+    assert made.outcome == "no_run_sh"
+    assert b'+NAME = "caf\xe9"\n' in made.diff.encode("utf-8", "surrogateescape")
+    assert json.loads(made.to_json())["diff"] == made.diff
+
+    # replayed from a recorded file, the diff gives git apply the same bytes
+    (tmp_path / "expected.py").write_bytes(b'NAME = "caf\xe9"\n')
+    (tmp_path / f"{flask_l0.id}.diff").write_bytes(made.diff.encode("utf-8", "surrogateescape"))
+    check = f"cmp a.py {tmp_path / 'expected.py'}"
+    task = dataclasses.replace(flask_l0, setup_commands=[check])
+    recorded = PatchProvider("recorded_directory", str(tmp_path))
+    [replayed] = run_campaign([task], recorded, 1, mini_collection, config=config)
+    assert replayed.outcome == "no_run_sh"
+    assert replayed.diff == made.diff
+    assert f"setup `{check}` exit=0\n" in replayed.logs
 
 
 def test_evaluate_crashing_run_script(mini_collection, config, flask_l0):
@@ -508,7 +632,7 @@ def test_provider_timeout_record_keeps_its_wall_time(mini_collection, config, fl
     config.provider_timeout = 0.3
     provider = PatchProvider("external_command", "sleep 30")
     [record] = run_campaign([flask_l0], provider, 1, mini_collection, config=config)
-    assert record.outcome == "internal_error"
+    assert record.outcome == "no_run_sh"  # it changed nothing, so there is no run.sh
     assert record.wall_time >= 0.3
 
 

@@ -584,6 +584,65 @@ def test_poll_health_treats_a_huge_body_claim_as_not_healthy(claim):
     assert elapsed < 1.0
 
 
+BODY_CAP = 4 << 20
+
+
+def _reply(size: int, framing: str, headers: int = 1) -> bytes:
+    """A 200 reply that sends a ``size``-byte body by ``framing`` and has
+    ``headers`` headers."""
+    body = b"x" * size
+    head = [b"X-Filler: 1"] * (headers - 1)
+    if framing == "length":
+        head.append(b"Content-Length: %d" % len(body))
+    elif framing == "chunked":  # in two chunks, each under the cap
+        half = len(body) // 2
+        head.append(b"Transfer-Encoding: chunked")
+        body = b"".join(b"%x\r\n%s\r\n" % (len(part), part) for part in (body[:half], body[half:]))
+        body += b"0\r\n\r\n"
+    else:
+        head.append(b"X-Framing: close")
+    return b"HTTP/1.1 200 OK\r\n" + b"".join(line + b"\r\n" for line in head) + b"\r\n" + body
+
+
+# replies over a cap, as _reply's arguments: a body longer than 4 MiB however
+# it is framed, and 101 headers
+TOO_LONG = f"got more than {BODY_CAP} bytes of body"
+OVER_CAP = {
+    "close": ((BODY_CAP + 1, "close"), TOO_LONG),
+    "length": ((BODY_CAP + 1, "length"), TOO_LONG),
+    "chunked": ((BODY_CAP + 1, "chunked"), TOO_LONG),
+    "headers": ((0, "length", 101), "HTTPException('got more than 100 headers')"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(OVER_CAP))
+def test_run_suite_fails_a_reply_over_a_cap(case):
+    reply, error = OVER_CAP[case]
+    with malformed_server(_reply(*reply)) as base_url:
+        result = run_suite(health_only(), base_url, request_timeout=2)
+    assert result.not_run == f"malformed response: {error}"
+
+
+@pytest.mark.parametrize("case", sorted(OVER_CAP))
+def test_poll_health_treats_a_reply_over_a_cap_as_not_healthy(case):
+    with malformed_server(_reply(*OVER_CAP[case][0])) as base_url:
+        start = time.monotonic()
+        ok = poll_health(base_url, timeout=0.2)
+        elapsed = time.monotonic() - start
+    assert ok is False
+    assert elapsed < 1.0
+
+
+@pytest.mark.parametrize("reply", [
+    (BODY_CAP, "close"), (BODY_CAP, "chunked"), (0, "length", 100),
+], ids=["close", "chunked", "headers"])
+def test_a_reply_at_each_cap_is_read(reply):
+    with malformed_server(_reply(*reply)) as base_url:
+        result = run_suite(health_only(), base_url, request_timeout=2)
+        assert poll_health(base_url, timeout=1.0) is True
+    assert (result.assertions_passed, result.assertions_total) == (1, 1)
+
+
 def test_poll_health_server_starts_late():
     handle = ServerHandle(port=0)
     port = handle.port
