@@ -5,7 +5,7 @@ child-process server; Docker is deliberately absent. Evaluation applies the
 patch with one ``git apply`` and keeps no git history. Patch sources are
 pluggable: recorded diffs on disk, or an arbitrary command run inside the
 prepared workspace (the hook where a live agent would sit); only that
-command's workspace commits a git baseline, to diff the command's changes
+command's workspace records a git tree, to diff the command's changes
 against.
 """
 
@@ -235,14 +235,17 @@ class RunRecord:
 def _start_git(args: list[str], cwd: Path) -> subprocess.Popen:
     """Start ``git args`` in ``cwd`` with its output piped as text, where bytes
     that are not UTF-8 (a patched file's) stay as surrogates, to write back."""
-    # The ceiling keeps git from finding a repository above the run's
-    # directory: inside one, ``git apply`` skips every path outside the
-    # subdirectory it runs in and still exits 0.
+    # No GIT_* variable of the host's and no global or system config, so a
+    # host's repository, hooks or autocrlf cannot change a verdict. The ceiling
+    # keeps git from finding a repository above the run's directory, where
+    # ``git apply`` skips paths outside its cwd and still exits 0.
     return subprocess.Popen(
         ["git", *args], cwd=cwd, stdout=subprocess.PIPE, stderr=subprocess.PIPE,
         encoding="utf-8", errors="surrogateescape",
         env={
-            **os.environ,
+            **{name: value for name, value in os.environ.items() if not name.startswith("GIT_")},
+            "GIT_CONFIG_GLOBAL": os.devnull,
+            "GIT_CONFIG_NOSYSTEM": "1",
             "GIT_TERMINAL_PROMPT": "0",
             "GIT_CEILING_DIRECTORIES": str(Path(cwd).resolve().parent),
         },
@@ -287,16 +290,13 @@ def _make_workspace(task: TaskSpec, port: int, config: HarnessConfig) -> Workspa
     return Workspace(root=root, meta=meta, port=port)
 
 
-def _commit_baseline(workspace: Workspace) -> str:
-    """Commit the workspace tree as it stands and return the commit's id."""
+def _baseline_tree(workspace: Workspace) -> str:
+    """Record the workspace tree as it stands as a git tree object, and
+    return its id: no commit, so no identity, signing or hooks."""
     root = workspace.root
     _git(["init", "-q"], root)
-    _git(["config", "user.email", "harness@localhost"], root)
-    _git(["config", "user.name", "harness"], root)
-    _git(["config", "commit.gpgsign", "false"], root)
     _git(["add", "-A"], root)
-    _git(["commit", "-q", "--allow-empty", "-m", "baseline"], root)
-    return _git(["rev-parse", "HEAD"], root).stdout.strip()
+    return _git(["write-tree"], root).stdout.strip()
 
 
 def _port_in_use(port: int) -> bool:
@@ -317,12 +317,11 @@ def _run_env(workspace: Workspace, config: HarnessConfig) -> dict:
 
 
 def _extract_diff(workspace: Workspace, baseline: str) -> str:
+    """The workspace's changes since the tree ``baseline``, as a diff."""
     _git(["add", "-A"], workspace.root)
-    diff = _git(
-        ["diff", "--cached", "--no-color", "--no-ext-diff", baseline],
-        workspace.root,
-    ).stdout
-    return filter_excluded_sections(diff)
+    # the flags hold against a .git/config the command may have written
+    diff = _git(["diff", "--cached", "--no-color", "--no-ext-diff", baseline], workspace.root)
+    return filter_excluded_sections(diff.stdout)
 
 
 def build_phase(
@@ -346,7 +345,7 @@ def build_phase(
 
     workspace = _make_workspace(task, port=port or config.port_pool[0], config=config)
     try:
-        baseline = _commit_baseline(workspace)
+        baseline = _baseline_tree(workspace)
         (workspace.meta / "task.json").write_text(task.to_json(), encoding="utf-8")
         (workspace.meta / "prompt.txt").write_text(task.prompt, encoding="utf-8")
         env = _run_env(workspace, config)

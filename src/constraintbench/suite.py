@@ -422,6 +422,28 @@ class _MalformedResponse(Exception):
     """A reply that is not HTTP or is cut off, named as http.client names it."""
 
 
+def _time_left(deadline: float) -> float:
+    left = deadline - time.monotonic()
+    if left <= 0:
+        raise TimeoutError("timed out")
+    return left
+
+
+class _DeadlineReader(io.RawIOBase):
+    """A socket's bytes, each ``recv`` given only the time left until
+    ``deadline``: a buffered read of ``n`` bytes may ``recv`` many times."""
+
+    def __init__(self, sock: socket.socket, deadline: float):
+        self._sock, self._deadline = sock, deadline
+
+    def readable(self) -> bool:
+        return True
+
+    def readinto(self, buffer) -> int:
+        self._sock.settimeout(_time_left(self._deadline))
+        return self._sock.recv_into(buffer)
+
+
 def _line(reader, what: str) -> bytes:
     line = reader.readline(_MAX_LINE + 1)
     if len(line) > _MAX_LINE:
@@ -527,15 +549,19 @@ def _split_url(url: str):
 
 def _http_request(url: str, method: str, headers: dict, body_bytes, timeout: float):
     """(status, body) of one request, which each hop writes only once its
-    own connection is open. Raises OSError when a connection fails and
-    _MalformedResponse on a reply that is not HTTP."""
+    own connection is open. The request, every redirect hop included, ends
+    ``timeout`` seconds after it starts. Raises OSError when a connection
+    fails or the time is up, and _MalformedResponse on a reply that is not
+    HTTP."""
+    deadline = time.monotonic() + timeout
     parts = _split_url(url)
     origin = (parts.hostname, parts.port or 80)
     for hop in range(_MAX_REDIRECTS + 1):
         target = (parts.path or "/") + (f"?{parts.query}" if parts.query else "")
-        with socket.create_connection(origin, timeout) as sock:
+        with socket.create_connection(origin, _time_left(deadline)) as sock:
+            sock.settimeout(_time_left(deadline))
             _send_request(sock, method, target, parts.netloc, headers, body_bytes)
-            with sock.makefile("rb") as reader:
+            with io.BufferedReader(_DeadlineReader(sock, deadline)) as reader:
                 status, location, body = _read_response(reader, method)
         follow = method in ("GET", "HEAD") or (method == "POST" and status in (301, 302, 303))
         if status not in _REDIRECTS or location is None or not follow or hop == _MAX_REDIRECTS:

@@ -1163,6 +1163,115 @@ def test_evaluate_inside_an_enclosing_git_repo(tmp_path, mini_collection, config
     assert rejected.outcome == "apply_failed"
 
 
+# -- git reads no config of the host ---------------------------------------------
+
+
+@pytest.fixture
+def host_git_config(tmp_path, monkeypatch):
+    """Gives the host a git config: ``write(text, where)`` writes ``text`` as
+    its global (``~/.gitconfig``), XDG or system config, with ``HOME`` and
+    ``XDG_CONFIG_HOME`` under ``tmp_path``."""
+    home = tmp_path / "home"
+    home.mkdir()
+    monkeypatch.setenv("HOME", str(home))
+    monkeypatch.setenv("XDG_CONFIG_HOME", str(home / "xdg"))
+    for name in [name for name in os.environ if name.startswith("GIT_")]:
+        monkeypatch.delenv(name)
+
+    def write(text: str, where: str = "global"):
+        path = {"global": home / ".gitconfig", "xdg": home / "xdg" / "git" / "config",
+                "system": tmp_path / "gitconfig"}[where]
+        path.parent.mkdir(parents=True, exist_ok=True)
+        path.write_text(text)
+        if where == "system":
+            monkeypatch.setenv("GIT_CONFIG_SYSTEM", str(path))
+
+    return write
+
+
+WRITE_APP = PatchProvider.parse("command:printf 'x = 1\\n' > app.py")
+
+
+@pytest.mark.parametrize("where", ["global", "xdg", "system"])
+def test_a_host_autocrlf_leaves_a_golden_score_whole(
+    where, host_git_config, conduit_collection, config, flask_l0
+):
+    # with it, `git apply` would write run.sh with CRLF line ends
+    host_git_config("[core]\n\tautocrlf = true\n", where)
+    record = evaluate_phase(flask_l0, golden_patch("monolithic"), conduit_collection, config=config)
+    assert record.outcome == "ok"
+    assert record.suite.assertions_passed == 291
+
+
+def test_a_host_config_in_the_environment_leaves_a_golden_score_whole(
+    host_git_config, monkeypatch, conduit_collection, config, flask_l0
+):
+    for name, value in {"GIT_CONFIG_COUNT": "1", "GIT_CONFIG_KEY_0": "core.autocrlf",
+                        "GIT_CONFIG_VALUE_0": "true"}.items():
+        monkeypatch.setenv(name, value)
+    record = evaluate_phase(flask_l0, golden_patch("monolithic"), conduit_collection, config=config)
+    assert record.outcome == "ok"
+    assert record.suite.assertions_passed == 291
+
+
+def test_a_host_git_dir_is_not_the_provider_workspace_repository(
+    host_git_config, monkeypatch, tmp_path, mini_collection, config, flask_l0
+):
+    # as in a git hook, which runs with GIT_DIR set to its own repository
+    monkeypatch.setenv("GIT_DIR", str(tmp_path / "host.git"))
+    [record] = run_campaign([flask_l0], WRITE_APP, 1, mini_collection, config=config)
+    assert record.outcome == "no_run_sh"
+    assert "+x = 1" in record.diff
+    assert not (tmp_path / "host.git").exists()
+
+
+def test_a_host_noprefix_leaves_a_provider_diff_applicable(
+    host_git_config, mini_collection, config, flask_l0
+):
+    host_git_config("[diff]\n\tnoprefix = true\n")
+    [record] = run_campaign([flask_l0], WRITE_APP, 1, mini_collection, config=config)
+    assert record.diff.startswith("diff --git a/app.py b/app.py\n")
+    assert record.outcome == "no_run_sh"
+
+
+def test_a_host_hook_neither_runs_nor_fails_a_provider_run(
+    host_git_config, tmp_path, mini_collection, config, flask_l0
+):
+    hooks = tmp_path / "hooks"
+    hooks.mkdir()
+    (hooks / "pre-commit").write_text(f"#!/bin/sh\ntouch '{tmp_path / 'hook-ran'}'\nexit 1\n")
+    (hooks / "pre-commit").chmod(0o755)
+    host_git_config(f"[core]\n\thooksPath = {hooks}\n")
+    [record] = run_campaign([flask_l0], WRITE_APP, 1, mini_collection, config=config)
+    assert record.outcome == "no_run_sh"
+    assert "+x = 1" in record.diff
+    assert not (tmp_path / "hook-ran").exists()
+
+
+def test_a_provider_that_turns_git_colour_on_still_yields_a_plain_diff(config, flask_l0):
+    # git reads the workspace's own .git/config, which the provider may write
+    provider = PatchProvider.parse(
+        "command:git config color.diff always && printf 'x = 1\\n' > app.py"
+    )
+    diff = build_phase(flask_l0, provider, config=config).diff_text
+    assert diff.startswith("diff --git a/app.py b/app.py\n")
+    assert "\x1b" not in diff
+
+
+def test_a_command_provider_build_starts_five_gits(monkeypatch, config, flask_l0):
+    started = []
+    real_start_git = harness._start_git
+
+    def spy(args, cwd):
+        started.append(args[0])
+        return real_start_git(args, cwd)
+
+    monkeypatch.setattr(harness, "_start_git", spy)
+    build_phase(flask_l0, WRITE_APP, config=config)
+    # the baseline tree, then the extraction against it
+    assert started == ["init", "add", "write-tree", "add", "diff"]
+
+
 # -- feature tasks over a local fixture repository ------------------------------
 
 

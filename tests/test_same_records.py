@@ -1,5 +1,6 @@
 import importlib.util
 import json
+import subprocess
 from pathlib import Path
 
 import pytest
@@ -86,3 +87,18 @@ def test_missing_files_are_named(tmp_path, same_records):
     write_output(tmp_path / "other", {}, {"x.csv": "a\n"})
     lines, _, _ = same_records.differences(tmp_path / "this", tmp_path / "other")
     assert lines == ["files only here: ['tables/golden/y.csv']; only there: []"]
+
+
+def test_the_child_writes_no_bytecode(tmp_path, monkeypatch, same_records):
+    # -I makes the child ignore PYTHONDONTWRITEBYTECODE, so only -B keeps
+    # __pycache__ out of the checkouts, whose bench then reads no .pyc files
+    started = []
+
+    def run(argv, **kwargs):
+        started.append(argv)
+        return subprocess.CompletedProcess(argv, 0, "", "")
+
+    monkeypatch.setattr(same_records.subprocess, "run", run)
+    same_records.run_campaign(tmp_path / "checkout", tmp_path / "out")
+    [argv] = started
+    assert argv[1:3] == ["-I", "-B"]

@@ -643,6 +643,76 @@ def test_a_reply_at_each_cap_is_read(reply):
     assert (result.assertions_passed, result.assertions_total) == (1, 1)
 
 
+@contextlib.contextmanager
+def trickling_server(pieces: list[bytes], gap: float):
+    """A base URL whose server, one thread, takes each connection in turn,
+    reads its request and sends ``pieces`` one at a time, ``gap`` seconds
+    apart, until they are sent, the client hangs up or the test ends."""
+    stop = threading.Event()
+    listener = socket.create_server(("127.0.0.1", 0))
+    listener.settimeout(0.01)
+
+    def serve():
+        while not stop.is_set():
+            try:
+                connection, _ = listener.accept()
+            except TimeoutError:
+                continue
+            with connection:
+                connection.recv(65536)
+                for piece in pieces:
+                    if stop.wait(gap):
+                        break
+                    try:
+                        connection.sendall(piece)
+                    except OSError:
+                        break
+
+    thread = threading.Thread(target=serve, daemon=True)
+    thread.start()
+    try:
+        yield f"http://127.0.0.1:{listener.getsockname()[1]}/api"
+    finally:
+        stop.set()
+        thread.join()
+        listener.close()
+
+
+OK_REPLY = b"HTTP/1.1 200 OK\r\nContent-Length: 2\r\n\r\nok"
+# replies that each take about 3 s in all, though no gap between two sends
+# reaches a request's 0.5 s
+SLOW_REPLIES = {
+    "body": ([b"HTTP/1.1 200 OK\r\nContent-Length: 12\r\n\r\n"] + [b"x"] * 12, 0.25),
+    "head": ([OK_REPLY[i:i + 1] for i in range(len(OK_REPLY))], 0.08),
+    "close": ([b"HTTP/1.1 200 OK\r\n\r\n"] + [b"x" * 10] * 30, 0.1),
+    "chunked": ([b"HTTP/1.1 200 OK\r\nTransfer-Encoding: chunked\r\n\r\n"]
+                + [b"a\r\nxxxxxxxxxx\r\n"] * 30, 0.1),
+    "interim": ([b"HTTP/1.1 100 Continue\r\n\r\n"] * 30 + [OK_REPLY], 0.1),
+    "redirects": ([b"HTTP/1.1 302 Found\r\nLocation: /api/health-check\r\n"
+                   b"Content-Length: 0\r\n\r\n"], 0.25),
+}
+
+
+@pytest.mark.parametrize("reply", sorted(SLOW_REPLIES))
+def test_a_request_ends_at_its_timeout_however_the_reply_trickles(reply):
+    with trickling_server(*SLOW_REPLIES[reply]) as base_url:
+        start = time.monotonic()
+        result = run_suite(health_only(), base_url, request_timeout=0.5)
+        elapsed = time.monotonic() - start
+    assert result.not_run == "connection failed: timed out"
+    assert elapsed < 0.5 + 0.3
+
+
+@pytest.mark.parametrize("reply", sorted(SLOW_REPLIES))
+def test_poll_health_ends_at_its_timeout_however_the_reply_trickles(reply):
+    with trickling_server(*SLOW_REPLIES[reply]) as base_url:
+        start = time.monotonic()
+        ok = poll_health(base_url, timeout=0.5)
+        elapsed = time.monotonic() - start
+    assert ok is False
+    assert elapsed < 0.5 + 0.3
+
+
 def test_poll_health_server_starts_late():
     handle = ServerHandle(port=0)
     port = handle.port

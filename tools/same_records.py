@@ -29,7 +29,9 @@ from pathlib import Path
 THIS_CHECKOUT = Path(__file__).resolve().parents[1]
 COMPARED = ("results", "tables")
 
-# Run by the child as ``python3 -I -c CAMPAIGN CHECKOUT OUT``.
+# Run by the child as ``python3 -I -B -c CAMPAIGN CHECKOUT OUT``: -I ignores
+# PYTHON* variables, PYTHONDONTWRITEBYTECODE too, so -B keeps the child from
+# writing __pycache__ into either checkout.
 CAMPAIGN = r"""
 import sys
 from pathlib import Path
@@ -71,7 +73,7 @@ def run_campaign(checkout: Path, out: Path):
     env = dict(os.environ, TMPDIR=str(out / "tmp"))
     print(f"running the campaign from {checkout}", flush=True)
     child = subprocess.run(
-        [sys.executable, "-I", "-c", CAMPAIGN, str(checkout), str(out)],
+        [sys.executable, "-I", "-B", "-c", CAMPAIGN, str(checkout), str(out)],
         env=env, capture_output=True, text=True,
     )
     if child.returncode != 0:
