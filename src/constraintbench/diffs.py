@@ -22,7 +22,7 @@ LOCK_FILES = {
     "poetry.lock",
 }
 
-EXCLUDED_DIR_COMPONENTS = {"node_modules", "__pycache__"}
+EXCLUDED_DIR_COMPONENTS = {"node_modules", "__pycache__", ".venv", "venv"}
 
 _PY_EXTENSIONS = {".py"}
 _JS_EXTENSIONS = {".js", ".mjs", ".cjs", ".ts"}
@@ -119,9 +119,9 @@ def _unquote(path: str) -> str:
 
 
 def read_patch(path: Path) -> str:
-    """A patch file's text. Bytes that are not UTF-8 (a patched file's) stay
-    as surrogates, as ``_unquote`` keeps them, so they write back unchanged."""
-    return path.read_text(encoding="utf-8", errors="surrogateescape")
+    """A patch file's text, with no newline translated. Bytes that are not UTF-8 (a patched
+    file's) stay as surrogates, as ``_unquote`` keeps them, so they write back unchanged."""
+    return path.read_bytes().decode("utf-8", "surrogateescape")
 
 
 def parse_patch(diff_text: str) -> PatchDocument:
@@ -222,7 +222,7 @@ def is_excluded_path(path: str) -> bool:
     name = parts[-1]
     if name in LOCK_FILES:
         return True
-    if name.endswith(".db"):
+    if name.endswith((".db", ".sqlite", ".sqlite3")):
         return True
     return False
 

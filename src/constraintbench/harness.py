@@ -6,7 +6,7 @@ patch with one ``git apply`` and keeps no git history. Patch sources are
 pluggable: recorded diffs on disk, or an arbitrary command run inside the
 prepared workspace (the hook where a live agent would sit); only that
 command's workspace records a git tree, to diff the command's changes
-against.
+against, in a repository beside the tree rather than in it.
 """
 
 from __future__ import annotations
@@ -32,7 +32,8 @@ from dataclasses import dataclass, field
 from pathlib import Path
 
 from .composer import TaskSpec
-from .diffs import PatchDocument, filter_excluded_sections, parse_patch, read_patch
+from .diffs import EXCLUDED_DIR_COMPONENTS, PatchDocument, filter_excluded_sections
+from .diffs import parse_patch, read_patch
 from .errors import PatchParseError, TaskSetupError
 from .suite import (
     REQUEST_TIMEOUT_S, SuiteResult, TestCollection, poll_health, run_suite, unreachable_result,
@@ -233,15 +234,13 @@ class RunRecord:
 
 
 def _start_git(args: list[str], cwd: Path) -> subprocess.Popen:
-    """Start ``git args`` in ``cwd`` with its output piped as text, where bytes
-    that are not UTF-8 (a patched file's) stay as surrogates, to write back."""
+    """Start ``git args`` in ``cwd`` with its output piped as bytes."""
     # No GIT_* variable of the host's and no global or system config, so a
     # host's repository, hooks or autocrlf cannot change a verdict. The ceiling
     # keeps git from finding a repository above the run's directory, where
     # ``git apply`` skips paths outside its cwd and still exits 0.
     return subprocess.Popen(
         ["git", *args], cwd=cwd, stdout=subprocess.PIPE, stderr=subprocess.PIPE,
-        encoding="utf-8", errors="surrogateescape",
         env={
             **{name: value for name, value in os.environ.items() if not name.startswith("GIT_")},
             "GIT_CONFIG_GLOBAL": os.devnull,
@@ -253,8 +252,9 @@ def _start_git(args: list[str], cwd: Path) -> subprocess.Popen:
 
 
 def _git(args: list[str], cwd: Path, check: bool = True) -> subprocess.CompletedProcess:
+    """Run ``git args`` to its end, its output decoded with each ``\\r`` and non-UTF-8 byte kept."""
     with _start_git(args, cwd) as process:
-        stdout, stderr = process.communicate()
+        stdout, stderr = (out.decode("utf-8", "surrogateescape") for out in process.communicate())
     if check and process.returncode != 0:
         raise TaskSetupError(f"git {' '.join(args)} failed: {stderr.strip()}")
     return subprocess.CompletedProcess(process.args, process.returncode, stdout, stderr)
@@ -290,13 +290,23 @@ def _make_workspace(task: TaskSpec, port: int, config: HarnessConfig) -> Workspa
     return Workspace(root=root, meta=meta, port=port)
 
 
+# git's repository is git/, beside the tree repo/, so nothing in the tree is git's
+_BESIDE = ["--git-dir=../git", "--work-tree=."]
+# every file, ignored or not, bar the excluded directories, which git never reads
+_STAGE_ALL = [*_BESIDE, "add", "-A", "--force", "--", ".",
+              *(f":(exclude,glob)**/{name}/**" for name in sorted(EXCLUDED_DIR_COMPONENTS))]
+_AS_IS = "* !diff !text !crlf !eol !ident !filter !working-tree-encoding\n"
+
+
 def _baseline_tree(workspace: Workspace) -> str:
     """Record the workspace tree as it stands as a git tree object, and
     return its id: no commit, so no identity, signing or hooks."""
-    root = workspace.root
-    _git(["init", "-q"], root)
-    _git(["add", "-A"], root)
-    return _git(["write-tree"], root).stdout.strip()
+    _git([*_BESIDE, "init", "-q"], workspace.root)
+    # outranks the tree's and the host's .gitattributes, so git takes each file as it is
+    (workspace.root.parent / "git" / "info").mkdir(exist_ok=True)
+    (workspace.root.parent / "git" / "info" / "attributes").write_text(_AS_IS)
+    _git(_STAGE_ALL, workspace.root)
+    return _git([*_BESIDE, "write-tree"], workspace.root).stdout.strip()
 
 
 def _port_in_use(port: int) -> bool:
@@ -317,10 +327,15 @@ def _run_env(workspace: Workspace, config: HarnessConfig) -> dict:
 
 
 def _extract_diff(workspace: Workspace, baseline: str) -> str:
-    """The workspace's changes since the tree ``baseline``, as a diff."""
-    _git(["add", "-A"], workspace.root)
-    # the flags hold against a .git/config the command may have written
-    diff = _git(["diff", "--cached", "--no-color", "--no-ext-diff", baseline], workspace.root)
+    """The workspace's changes since the tree ``baseline``, binary files too, as a diff."""
+    for parent, dirs, _ in os.walk(workspace.root):
+        dirs[:] = [name for name in dirs if name not in EXCLUDED_DIR_COMPONENTS | {".git"}]
+        nested = Path(parent, ".git")  # removed, so a nested repository's files are plain files
+        if nested.is_dir() and not nested.is_symlink():
+            shutil.rmtree(nested)
+        nested.unlink(missing_ok=True)
+    _git(_STAGE_ALL, workspace.root)
+    diff = _git([*_BESIDE, "diff", "--cached", "--binary", baseline], workspace.root)
     return filter_excluded_sections(diff.stdout)
 
 
@@ -532,7 +547,7 @@ def _run_stages(
                 finally:
                     _, stderr = applying.communicate()
             if applying.returncode != 0:
-                log_parts.append(f"git apply failed: {stderr.strip()}")
+                log_parts.append(f"git apply failed: {stderr.decode(errors='replace').strip()}")
                 return "apply_failed", None
         else:
             log_parts.append("empty diff: nothing to apply")

@@ -214,7 +214,13 @@ def test_pure_deletion_hunk_then_next_file():
         ("uv.lock", True),
         ("poetry.lock", True),
         ("data/conduit.db", True),
+        ("db.sqlite3", True),
+        ("data/conduit.sqlite", True),
+        (".venv/bin/activate", True),
+        ("api/venv/lib/python3.11/site.py", True),
         ("src/routes/articles.py", False),
+        ("src/venv_tools.py", False),
+        ("docs/sqlite3.md", False),
         ("requirements.txt", False),
         ("package.json", False),
         ("locksmith.py", False),

@@ -1249,9 +1249,9 @@ def test_a_host_hook_neither_runs_nor_fails_a_provider_run(
 
 
 def test_a_provider_that_turns_git_colour_on_still_yields_a_plain_diff(config, flask_l0):
-    # git reads the workspace's own .git/config, which the provider may write
+    # the provider's own repository turns colour on; the harness's git reads none of it
     provider = PatchProvider.parse(
-        "command:git config color.diff always && printf 'x = 1\\n' > app.py"
+        "command:git init -q && git config color.diff always && printf 'x = 1\\n' > app.py"
     )
     diff = build_phase(flask_l0, provider, config=config).diff_text
     assert diff.startswith("diff --git a/app.py b/app.py\n")
@@ -1263,13 +1263,145 @@ def test_a_command_provider_build_starts_five_gits(monkeypatch, config, flask_l0
     real_start_git = harness._start_git
 
     def spy(args, cwd):
-        started.append(args[0])
+        started.append(next(arg for arg in args if not arg.startswith("-")))
         return real_start_git(args, cwd)
 
     monkeypatch.setattr(harness, "_start_git", spy)
     build_phase(flask_l0, WRITE_APP, config=config)
     # the baseline tree, then the extraction against it
     assert started == ["init", "add", "write-tree", "add", "diff"]
+
+
+# -- the artifact rule alone drops a provider's file ------------------------------
+
+
+@pytest.mark.parametrize(
+    "command,path",
+    [
+        ("test ! -e .git && echo 'x = 1' > a.py", "a.py"),
+        ("mkdir sub && git -C sub init -q && echo 'x = 1' > sub/f.py", "sub/f.py"),
+        ("printf '.env\\n' > .gitignore && echo K=1 > .env", ".env"),
+    ],
+    ids=["no_git_in_the_tree", "nested_repository", "gitignored_file"],
+)
+def test_a_provider_file_is_evaluated_unless_the_artifact_rule_drops_it(
+    command, path, mini_collection, config, flask_l0
+):
+    provider = PatchProvider.parse(f"command:{command}")
+    [record] = run_campaign([flask_l0], provider, 1, mini_collection, config=config)
+    assert record.outcome == "no_run_sh"
+    assert f"diff --git a/{path} b/{path}\n" in record.diff
+
+
+def test_a_provider_git_config_runs_nothing(tmp_path, mini_collection, config, flask_l0):
+    marker = tmp_path / "fsmonitor-ran"
+    provider = PatchProvider.parse(
+        f"command:git init -q && git config core.fsmonitor 'touch {marker}; false'"
+        " && echo 'x = 1' > a.py"
+    )
+    [record] = run_campaign([flask_l0], provider, 1, mini_collection, config=config)
+    assert record.outcome == "no_run_sh"
+    assert "diff --git a/a.py b/a.py\n" in record.diff
+    assert not marker.exists()
+
+
+def test_a_provider_virtualenv_is_left_out(mini_collection, config, flask_l0):
+    provider = PatchProvider.parse(
+        "command:python3 -m venv --without-pip .venv && echo 'x = 1' > app.py"
+    )
+    [record] = run_campaign([flask_l0], provider, 1, mini_collection, config=config)
+    assert record.outcome == "no_run_sh"
+    assert "+x = 1" in record.diff
+    assert ".venv/" not in record.diff
+
+
+def test_a_provider_binary_file_is_applied_byte_for_byte_and_its_database_left_out(
+    tmp_path, mini_collection, config, flask_l0
+):
+    copy = tmp_path / "logo.copy"
+    write_copy = f"python3 -c 'import sys; sys.stdout.buffer.write(bytes(range(256)))' > '{copy}'"
+    agent = tmp_path / "agent.py"
+    agent.write_text(
+        "import sqlite3\n"
+        "from pathlib import Path\n"
+        "sqlite3.connect('db.sqlite3').execute('create table t (x)')\n"
+        "Path('static').mkdir()\n"
+        "Path('static/logo.bin').write_bytes(bytes(range(256)))\n"
+        f"Path('run.sh').write_text(\"cmp static/logo.bin '{copy}' && exit 7\\nexit 8\\n\")\n"
+    )
+    task = dataclasses.replace(flask_l0, setup_commands=[write_copy])
+    provider = PatchProvider.parse(f"command:python3 '{agent}'")
+    [record] = run_campaign([task], provider, 1, mini_collection, config=config)
+    assert record.outcome == "server_exited"
+    assert "server exited with code 7" in record.logs
+    assert "diff --git a/static/logo.bin b/static/logo.bin\n" in record.diff
+    assert "GIT binary patch\nliteral 256\n" in record.diff
+    assert "db.sqlite3" not in record.diff
+
+
+CARRIAGE_RETURNS = r"""from pathlib import Path
+Path('a.py').write_bytes(b'x = "a\rb"\r\n')
+Path('check.py').write_text(r'''import sys; sys.exit(7 if open('a.py', 'rb').read() == b'x = "a\rb"\r\n' else 8)''')
+Path('run.sh').write_text('exec python3 check.py\n')
+"""
+
+
+@pytest.mark.parametrize("replayed", [False, True], ids=["command", "recorded"])
+def test_carriage_returns_in_a_provider_file_are_applied_byte_for_byte(
+    replayed, tmp_path, mini_collection, config, flask_l0
+):
+    agent = tmp_path / "agent.py"
+    agent.write_text(CARRIAGE_RETURNS)
+    provider = PatchProvider.parse(f"command:python3 '{agent}'")
+    if replayed:
+        diff = build_phase(flask_l0, provider, config=config).diff_text
+        (tmp_path / f"{flask_l0.id}.diff").write_bytes(diff.encode("utf-8", "surrogateescape"))
+        provider = PatchProvider.parse(f"recorded:{tmp_path}")
+    [record] = run_campaign([flask_l0], provider, 1, mini_collection, config=config)
+    assert record.outcome == "server_exited"
+    assert "server exited with code 7" in record.logs
+    assert '+x = "a\rb"\r\n' in record.diff
+
+
+@pytest.mark.parametrize("where", ["tree", "host"])
+def test_gitattributes_change_nothing_in_a_provider_diff(
+    where, host_git_config, tmp_path, mini_collection, config, flask_l0
+):
+    # `-diff` would make app.py a binary patch that the verifiers cannot read, and
+    # `text` would turn its CRLF into LF
+    attributes = "app.py -diff\nb.py text\n"
+    if where == "host":
+        (tmp_path / "home" / "xdg" / "git").mkdir(parents=True)
+        (tmp_path / "home" / "xdg" / "git" / "attributes").write_text(attributes)
+    command = "printf 'x = 1\\n' > app.py && printf 'y = 1\\r\\n' > b.py"
+    if where == "tree":
+        command = f"printf '{attributes}' > .gitattributes && {command}"
+    provider = PatchProvider.parse(f"command:{command}")
+    [record] = run_campaign([flask_l0], provider, 1, mini_collection, config=config)
+    assert record.outcome == "no_run_sh"
+    assert "+++ b/app.py\n@@ -0,0 +1 @@\n+x = 1\n" in record.diff
+    assert "+y = 1\r\n" in record.diff
+    assert "GIT binary patch" not in record.diff
+
+
+def test_git_never_reads_an_excluded_directory(monkeypatch, config, flask_l0):
+    outputs = []
+    real_git = harness._git
+
+    def spy(*args, **kwargs):
+        done = real_git(*args, **kwargs)
+        outputs.append(done.stdout)
+        return done
+
+    monkeypatch.setattr(harness, "_git", spy)
+    provider = PatchProvider.parse(
+        "command:mkdir -p node_modules/pg && echo 'module.exports = 1;' > node_modules/pg/index.js"
+        " && echo 'x = 1' > app.py"
+    )
+    diff = build_phase(flask_l0, provider, config=config).diff_text
+    assert diff.startswith("diff --git a/app.py b/app.py\n")
+    assert len(outputs) == 5
+    assert not any("node_modules" in output for output in outputs)
 
 
 # -- feature tasks over a local fixture repository ------------------------------
