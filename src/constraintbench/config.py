@@ -9,8 +9,9 @@ so a ``#`` inside a value with no space before it is kept
 (``workspace_root = /tmp/runs#1``). A number that does not parse, or a
 port_pool piece that is not a port or a rising range of ports in 1-65535,
 is rejected with its line. The loaded config must then pass
-``HarnessConfig.check``: every float field finite and positive, and a port
-pool that is not empty and names no port twice.
+``HarnessConfig.check``: every number field finite and positive (so
+``workers`` is at least 1), and a port pool that is not empty and names no
+port twice.
 """
 
 from __future__ import annotations

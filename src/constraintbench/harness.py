@@ -11,6 +11,7 @@ against, in a repository beside the tree rather than in it.
 
 from __future__ import annotations
 
+import contextlib
 import dataclasses
 import functools
 import json
@@ -69,12 +70,13 @@ class HarnessConfig:
         return config
 
     def check(self) -> None:
-        """Raise ValueError unless a run could use this config: every float
-        field (a number of seconds) is finite and positive, and the port pool
-        holds at least one port, none twice and each in 1-65535."""
+        """Raise ValueError unless a run could use this config: every number
+        field (a count of workers or a number of seconds) is finite and
+        positive, and the port pool holds at least one port, none twice and
+        each in 1-65535."""
         for spec in dataclasses.fields(self):
             value = getattr(self, spec.name)
-            if type(spec.default) is float and not (value > 0 and math.isfinite(value)):
+            if type(spec.default) in (int, float) and not (value > 0 and math.isfinite(value)):
                 raise ValueError(f"{spec.name} must be positive and finite, not {value}")
         if not self.port_pool:
             raise ValueError("port_pool must hold at least one port")
@@ -117,9 +119,6 @@ class Workspace:
     root: Path
     meta: Path
     port: int
-
-    def destroy(self):
-        shutil.rmtree(self.root.parent, ignore_errors=True)
 
 
 @dataclass
@@ -260,19 +259,20 @@ def _git(args: list[str], cwd: Path, check: bool = True) -> subprocess.Completed
     return subprocess.CompletedProcess(process.args, process.returncode, stdout, stderr)
 
 
-def _make_workspace(task: TaskSpec, port: int, config: HarnessConfig) -> Workspace:
-    """Pristine per-run directory: repo/ (the code tree) + meta/ (logs, prompts)."""
+@contextlib.contextmanager
+def _make_workspace(task: TaskSpec, port: int, config: HarnessConfig) -> Iterator[Workspace]:
+    """Pristine per-run directory: repo/ (the code tree) + meta/ (logs,
+    prompts), removed on exit, or when preparing it fails."""
     # resolved, since git runs in the tree and is handed paths under this root
     workspace_root = Path(config.workspace_root or tempfile.gettempdir()).resolve()
     workspace_root.mkdir(parents=True, exist_ok=True)
     base = Path(tempfile.mkdtemp(prefix=f"cb-{task.id[:40]}-", dir=workspace_root))
-    root = base / "repo"
-    meta = base / "meta"
-    root.mkdir()
-    meta.mkdir()
-
-    if task.kind == "feature":
-        try:
+    try:
+        root = base / "repo"
+        meta = base / "meta"
+        root.mkdir()
+        meta.mkdir()
+        if task.kind == "feature":
             clone = _git(["clone", "-q", task.repo_ref["url"], str(root)], base, check=False)
             if clone.returncode != 0:
                 raise TaskSetupError(f"clone failed: {clone.stderr.strip()}")
@@ -282,12 +282,10 @@ def _make_workspace(task: TaskSpec, port: int, config: HarnessConfig) -> Workspa
             applied = _git(["apply", "--whitespace=nowarn", str(patch_file)], root, check=False)
             if applied.returncode != 0:
                 raise TaskSetupError(f"ablation patch failed to apply: {applied.stderr.strip()}")
-        except BaseException:
-            shutil.rmtree(base, ignore_errors=True)
-            raise
-        shutil.rmtree(root / ".git", ignore_errors=True)
-
-    return Workspace(root=root, meta=meta, port=port)
+            shutil.rmtree(root / ".git", ignore_errors=True)
+        yield Workspace(root=root, meta=meta, port=port)
+    finally:
+        shutil.rmtree(base, ignore_errors=True)
 
 
 # git's repository is git/, beside the tree repo/, so nothing in the tree is git's
@@ -358,8 +356,7 @@ def build_phase(
             token_usage = json.loads(tokens_path.read_text())
         return BuildResult(diff_text=read_patch(diff_path), logs="", token_usage=token_usage)
 
-    workspace = _make_workspace(task, port=port or config.port_pool[0], config=config)
-    try:
+    with _make_workspace(task, port=port or config.port_pool[0], config=config) as workspace:
         baseline = _baseline_tree(workspace)
         (workspace.meta / "task.json").write_text(task.to_json(), encoding="utf-8")
         (workspace.meta / "prompt.txt").write_text(task.prompt, encoding="utf-8")
@@ -372,8 +369,6 @@ def build_phase(
                              config.provider_timeout, config.shutdown_grace)
         logs = f"provider {ended}\n{_tail(log)}"
         return BuildResult(diff_text=_extract_diff(workspace, baseline), logs=logs)
-    finally:
-        workspace.destroy()
 
 
 def _group_alive(process: subprocess.Popen) -> bool:
@@ -443,12 +438,19 @@ def _terminate(process: subprocess.Popen, grace: float):
             time.sleep(GROUP_EXIT_POLL_S)
 
 
-def _launch(argv: list[str], cwd: Path, env: dict, log: Path) -> subprocess.Popen:
-    """Start ``argv`` in a process group of its own, for ``_terminate`` to stop,
-    with its stdout and stderr written together, in order, to the file ``log``."""
+@contextlib.contextmanager
+def _launch(argv: list[str], cwd: Path, env: dict, log: Path, grace: float
+            ) -> Iterator[subprocess.Popen]:
+    """Start ``argv`` in a process group of its own, with its stdout and stderr
+    written together, in order, to the file ``log``; on exit, ``_terminate``
+    stops the group, whatever it left in the background too."""
     with open(log, "wb") as handle:
-        return subprocess.Popen(argv, cwd=cwd, env=env, stdout=handle, stderr=subprocess.STDOUT,
-                                start_new_session=True)
+        process = subprocess.Popen(argv, cwd=cwd, env=env, stdout=handle,
+                                   stderr=subprocess.STDOUT, start_new_session=True)
+    try:
+        yield process
+    finally:
+        _terminate(process, grace)
 
 
 def _tail(log: Path) -> str:
@@ -466,15 +468,13 @@ def _tail(log: Path) -> str:
 
 
 def _run_command(command: str, cwd: Path, env: dict, log: Path, timeout: float, grace: float):
-    """Run ``command`` through ``/bin/sh -c``, as ``_launch`` starts it, stop
-    its group when it ends, and say how it ended: ``exit=N`` or ``timed out``."""
-    with _launch(["/bin/sh", "-c", command], cwd, env, log) as process:
+    """Run ``command`` through ``/bin/sh -c`` under ``_launch``, and say how
+    it ended: ``exit=N`` or ``timed out``."""
+    with _launch(["/bin/sh", "-c", command], cwd, env, log, grace) as process:
         try:
             return f"exit={process.wait(timeout)}"
         except subprocess.TimeoutExpired:
             return "timed out"
-        finally:  # what it left in the background goes too
-            _terminate(process, grace)
 
 
 def evaluate_phase(
@@ -523,19 +523,21 @@ def _run_stages(
     """The stages of one evaluation, in order: env check, workspace, apply,
     setup, port probe, launch, health, suite. The first stage that ends the
     run gives its outcome; only ``"ok"`` comes with the suite's result.
-    ``verify`` is called while ``git apply`` runs, if it runs."""
+    ``verify`` is called while ``git apply`` runs, if it runs. However the
+    run ends, ``teardown`` undoes the stages last-first: the server's group
+    is stopped, its log tail read, then the workspace removed."""
     if task.constraints.database == "postgres" and not config.pg_url:
         log_parts.append("environment-skipped: postgres task without PG_URL")
         return "env_skipped", None
 
-    try:
-        workspace = _make_workspace(task, port=port or config.port_pool[0], config=config)
-    except TaskSetupError as exc:
-        log_parts.append(f"task setup error: {exc}")
-        return "setup_error", None
+    with contextlib.ExitStack() as teardown:
+        try:
+            workspace = teardown.enter_context(
+                _make_workspace(task, port=port or config.port_pool[0], config=config))
+        except TaskSetupError as exc:
+            log_parts.append(f"task setup error: {exc}")
+            return "setup_error", None
 
-    process, server_log = None, workspace.meta / "server.log"
-    try:
         if diff.strip():
             patch_file = workspace.meta / "changes.diff"
             patch_file.write_text(diff, encoding="utf-8", errors="surrogateescape")
@@ -567,7 +569,10 @@ def _run_stages(
             log_parts.append(f"task setup error: port {workspace.port} already in use")
             return "port_in_use", None
 
-        process = _launch(["bash", "run.sh"], workspace.root, env, server_log)
+        server_log = workspace.meta / "server.log"
+        teardown.callback(lambda: log_parts.extend(["--- server log ---", _tail(server_log)]))
+        process = teardown.enter_context(
+            _launch(["bash", "run.sh"], workspace.root, env, server_log, config.shutdown_grace))
 
         base_url = f"http://127.0.0.1:{workspace.port}/api"
         if not poll_health(base_url, config.health_timeout, alive=lambda: _group_alive(process)):
@@ -579,12 +584,6 @@ def _run_stages(
             return "server_exited", None
 
         return "ok", run_suite(collection, base_url, request_timeout=config.request_timeout)
-    finally:
-        if process is not None:
-            _terminate(process, config.shutdown_grace)
-            log_parts.append("--- server log ---")
-            log_parts.append(_tail(server_log))
-        workspace.destroy()
 
 
 def run_one(
@@ -664,8 +663,7 @@ def run_campaign(
             ports.put(port)
 
     jobs = [(task, trial) for task in tasks for trial in range(trials)]
-    workers = max(1, min(config.workers, len(config.port_pool)))
-    with ThreadPoolExecutor(max_workers=workers) as pool:
+    with ThreadPoolExecutor(max_workers=min(config.workers, len(config.port_pool))) as pool:
         records = list(pool.map(execute, jobs))
 
     if out_dir is not None:

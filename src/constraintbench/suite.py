@@ -635,12 +635,9 @@ def unreachable_result(collection: TestCollection, detail: str) -> SuiteResult:
     """A zero-pass result with every assertion failed with ``detail``; used
     when the server never came up and the suite was not worth running."""
     result = SuiteResult(name=collection.name)
-    for folder, *_ in _assertion_keys(collection):
-        result.folders.setdefault(folder, [0, 0])[1] += 1
-        result.assertions_total += 1
-    if result.assertions_total:  # with nothing to fail, it stores as no failed rows
-        result.not_run = detail
-    return result
+    for key in _assertion_keys(collection):
+        result._count(*key, False, detail)
+    return result._settle()
 
 
 def poll_health(

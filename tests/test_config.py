@@ -153,6 +153,8 @@ def test_repeated_port_rejected(tmp_path, capsys):
     ("port_pool = 8080, 70000", "piece '70000'"),
     ("port_pool = 65530-65536", "piece '65530-65536'"),
     ("port_pool = ,", "port_pool must hold at least one port"),
+    ("workers = 0", "workers must be positive"),
+    ("workers = -3", "workers must be positive"),
     *[(f"{name} = {value}", f"{name} must be positive and finite")
       for name in FLOAT_FIELDS for value in ("0", "-5", "inf", "nan")],
 ])
@@ -164,6 +166,7 @@ def test_a_value_no_run_could_use_is_rejected(text, message):
 @pytest.mark.parametrize("text,named", [
     ("health_interval = 0.5\n", "health_timeout"),
     ("health_timeout = 0\n", "health_timeout must be positive"),
+    ("workers = 0\n", "workers must be positive"),
     ("port_pool = 8080, 9005-9000\n", "9005-9000"),
 ])
 def test_a_config_no_run_could_use_exits_2_before_any_run(tmp_path, capsys, text, named):

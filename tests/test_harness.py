@@ -706,6 +706,7 @@ def test_campaign_rejects_a_repeated_port(mini_collection, flask_l0):
     *[({f.name: value}, f"{f.name} must be positive and finite")
       for f in dataclasses.fields(HarnessConfig) if type(f.default) is float
       for value in (0.0, -5.0, float("inf"), float("nan"))],
+    ({"workers": 0}, "workers must be positive"),
 ])
 def test_campaign_rejects_a_config_no_run_could_use(mini_collection, flask_l0, overrides,
                                                      message):
@@ -1070,6 +1071,62 @@ def test_a_verifier_that_raises_during_the_apply_leaves_nothing_behind(
     assert record.logs == "internal error: RuntimeError('verifier broke')"
     [applying] = applies
     assert applying.returncode is not None  # reaped
+    assert list(Path(config.workspace_root).iterdir()) == []
+
+
+# a SIGTERM handler that says so in the server log before the server exits
+STOPPING = '''import signal, sys
+
+
+def stop(signum, frame):
+    print("stopping", flush=True)
+    sys.exit(0)
+
+
+signal.signal(signal.SIGTERM, stop)
+'''
+
+
+@pytest.mark.parametrize("outcome, serve", [
+    ("ok", BACKGROUND_SERVER), ("health_timeout", "import time\ntime.sleep(600)\n"),
+], ids=["ok", "health_timeout"])
+def test_the_server_log_tail_is_read_after_the_group_is_stopped(
+    mini_collection, config, flask_l0, outcome, serve
+):
+    diff = files_to_diff({
+        "run.sh": ("#!/bin/sh\nexec python3 server.py\n", True),
+        "server.py": (STOPPING + serve, False),
+    })
+    config = dataclasses.replace(config, health_timeout=1.0)
+    record = evaluate_phase(flask_l0, diff, mini_collection, config=config)
+    assert record.outcome == outcome
+    assert record.logs.endswith("--- server log ---\nstopping\n")
+
+
+@pytest.mark.parametrize("stage", ["poll_health", "run_suite"])
+def test_a_stage_that_raises_still_stops_the_server_and_removes_the_workspace(
+    monkeypatch, tmp_path, mini_collection, config, flask_l0, stage
+):
+    real = getattr(harness, stage)
+
+    def broken(*args, **kwargs):
+        real(*args, **kwargs)  # so the server is up, and has written its pid
+        raise RuntimeError(f"{stage} broke")
+
+    monkeypatch.setattr(harness, stage, broken)
+    pid_file = tmp_path / "server.pid"
+    patches = tmp_path / "patches"
+    patches.mkdir()
+    (patches / f"{flask_l0.id}.diff").write_text(files_to_diff({
+        "run.sh": (f"#!/bin/sh\necho $$ > '{pid_file}'\nexec python3 server.py\n", True),
+        "server.py": (BACKGROUND_SERVER, False),
+    }))
+    provider = PatchProvider("recorded_directory", str(patches))
+    [record] = run_campaign([flask_l0], provider, 1, mini_collection, config=config)
+    assert record.outcome == "internal_error"
+    assert record.logs == f"internal error: RuntimeError('{stage} broke')"
+    with pytest.raises(ProcessLookupError):
+        os.killpg(int(pid_file.read_text()), 0)
     assert list(Path(config.workspace_root).iterdir()) == []
 
 
